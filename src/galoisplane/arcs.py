@@ -13,14 +13,80 @@ from itertools import combinations
 
 from .errors import BoundExceeded, EqualPoints, Degenerate, PointNotOnArc, SpecMismatch
 from .gf import FieldSpec
-from .pg2 import ProjPoint, collinear, plane, point_sort_key
+from .pg2 import (
+    PLANE_MAX_ORDER,
+    ProjPoint,
+    canonicalize,
+    collinear,
+    plane,
+    point_sort_key,
+)
 
 SEARCH_MAX_ORDER = 7
 
 
 def is_arc(points) -> tuple:
-    """(True, None) if no two equal and no three collinear, else (False, witness)."""
+    """(True, None) if no two equal and no three collinear, else (False, witness).
+
+    The witness is the first equal pair, else the first collinear triple, in
+    `itertools.combinations` order over the input positions.  Up to
+    PLANE_MAX_ORDER each point is looked up in the cached plane by its
+    canonical form, and collinearity is read off the plane's incidence: each
+    point's position bit is ORed into the masks of the q + 1 lines through
+    it, and a line whose mask holds three or more bits carries a collinear
+    triple, its three lowest positions first.  Above that order no plane
+    exists, and every pair is compared and every triple's determinant tested.
+    """
     pts = list(points)
+    if not pts:
+        return True, None
+    spec = pts[0].spec
+    for p in pts[1:]:
+        if p.spec != spec:
+            raise SpecMismatch("arc points from different field specs")
+    if spec.q > PLANE_MAX_ORDER:
+        return _is_arc_by_determinants(pts)
+
+    pl = plane(spec)
+    point_index = pl.point_index
+    indices = []
+    first_pos = {}
+    duplicate = None
+    for pos, p in enumerate(pts):
+        i = point_index.get(p)
+        if i is None:
+            i = point_index[canonicalize(p.coords)]
+        first = first_pos.setdefault(i, pos)
+        if first != pos and (duplicate is None or first < duplicate[0]):
+            duplicate = (first, pos)
+        indices.append(i)
+    if duplicate is not None:
+        return False, (pts[duplicate[0]], pts[duplicate[1]])
+
+    point_lines = pl.point_lines
+    masks = {}
+    for pos, i in enumerate(indices):
+        bit = 1 << pos
+        for li in point_lines[i]:
+            masks[li] = masks.get(li, 0) | bit
+    witness = None
+    for m in masks.values():
+        if m.bit_count() >= 3:
+            lowest = []
+            for _ in range(3):
+                low = m & -m
+                lowest.append(low.bit_length() - 1)
+                m ^= low
+            lowest = tuple(lowest)
+            if witness is None or lowest < witness:
+                witness = lowest
+    if witness is not None:
+        return False, tuple(pts[k] for k in witness)
+    return True, None
+
+
+def _is_arc_by_determinants(pts: list) -> tuple:
+    """is_arc by comparing every pair and testing every triple's determinant."""
     for a, b in combinations(range(len(pts)), 2):
         if pts[a] == pts[b]:
             return False, (pts[a], pts[b])

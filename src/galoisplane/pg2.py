@@ -427,7 +427,7 @@ class Collineation:
 
     def apply_line(self, l: ProjLine) -> ProjLine:
         if self._inv_t is None:
-            self._inv_t = inverse3(self.matrix).transpose()
+            self._inv_t = self.inverse().matrix.transpose()
         return canonicalize_line(mat_vec(self._inv_t, l.coeffs))
 
     def __matmul__(self, other: "Collineation") -> "Collineation":

@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .arcs import Arc, tangent_lines
+from .arcs import Arc, is_arc, tangent_lines
 from .conic import Conic, is_nondegenerate, transform_conic
 from .errors import (
     Degenerate,
@@ -394,13 +394,8 @@ def fit_conic_nullspace(points) -> Conic:
             pts.append(p)
     if len(pts) < 5:
         raise UnderDetermined(f"need at least 5 distinct points, got {len(pts)}")
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            for k in range(j + 1, len(pts)):
-                if collinear(pts[i], pts[j], pts[k]):
-                    raise UnderDetermined(
-                        "three of the points are collinear; no unique conic"
-                    )
+    if not is_arc(pts)[0]:
+        raise UnderDetermined("three of the points are collinear; no unique conic")
     rows = [_monomial_row(p) for p in pts]
     basis = nullspace(Mat.from_rows(rows))
     if len(basis) == 0:

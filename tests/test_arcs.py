@@ -1,6 +1,8 @@
 """Arcs, ovals, tangent counting, and the exhaustive search."""
 
 import itertools
+import random
+import sys
 
 import pytest
 
@@ -11,9 +13,18 @@ from galoisplane.errors import (
     Degenerate,
     EqualPoints,
     PointNotOnArc,
+    SpecMismatch,
 )
 from galoisplane.gf import make_field
-from galoisplane.pg2 import canonicalize, collinear, incident, point_sort_key
+from galoisplane.pg2 import (
+    ProjPoint,
+    canonicalize,
+    collinear,
+    incident,
+    plane,
+    point_sort_key,
+)
+from galoisplane.segre import fit_conic_nullspace
 
 
 def _oval(spec):
@@ -39,6 +50,98 @@ def test_is_arc_collinear_witness():
     a, b, c = witness
     assert collinear(a, b, c)
     assert {a, b, c} <= set(pts)
+
+
+def _is_arc_by_determinants(pts):
+    # reference: the first equal pair, else the first collinear triple, in
+    # combinations order, each triple tested by its determinant
+    for a, b in itertools.combinations(range(len(pts)), 2):
+        if pts[a] == pts[b]:
+            return False, (pts[a], pts[b])
+    for a, b, c in itertools.combinations(pts, 3):
+        if collinear(a, b, c):
+            return False, (a, b, c)
+    return True, None
+
+
+def _spec(q):
+    return {4: make_field(2, 2), 8: make_field(2, 3), 9: make_field(3, 2)}.get(q) \
+        or make_field(q)
+
+
+def test_is_arc_witness_matches_determinant_scan_on_small_subsets():
+    points = plane(make_field(3)).points
+    checked = 0
+    for k in (3, 4):
+        for subset in itertools.combinations(points, k):
+            assert is_arc(subset) == _is_arc_by_determinants(subset), subset
+            checked += 1
+    assert checked == 286 + 715
+
+
+def test_is_arc_witness_matches_determinant_scan_on_shuffled_lists():
+    # conic subsets, plus a point off the conic, plus a repeat; then plane
+    # subsets carrying several collinear triples, and draws with replacement
+    # from a few points carrying several equal pairs
+    rng = random.Random(20231)
+    for q in (4, 5, 7, 8, 9, 11, 13):
+        spec = _spec(q)
+        points = plane(spec).points
+        oval = list(_oval(spec))
+        on_oval = set(oval)
+        off = [p for p in points if p not in on_oval]
+        for trial in range(40):
+            kind = trial % 5
+            if kind <= 2:
+                pts = rng.sample(oval, rng.randint(3, len(oval)))
+                if kind >= 1:
+                    pts.append(rng.choice(off))
+                if kind == 2:
+                    pts.append(rng.choice(pts))
+                rng.shuffle(pts)
+            elif kind == 3:
+                pts = rng.sample(points, rng.randint(6, 12))
+            else:
+                pool = rng.sample(points, 5)
+                pts = [rng.choice(pool) for _ in range(rng.randint(4, 10))]
+            assert is_arc(pts) == _is_arc_by_determinants(pts), (q, trial)
+
+
+def test_is_arc_above_plane_cap():
+    spec = make_field(131)
+    frame = [_pt(spec, 1, 0, 0), _pt(spec, 0, 1, 0), _pt(spec, 0, 0, 1),
+             _pt(spec, 1, 1, 1)]
+    assert Arc(frame).size == 4
+    with pytest.raises(Degenerate):
+        Arc(frame[:2] + [_pt(spec, 1, 1, 0)])
+    moment = [_pt(spec, 1, t, t * t) for t in range(5)]
+    assert fit_conic_nullspace(moment) == parse_conic(spec, "[0:1:0:0:-1:0]")
+
+
+def test_is_arc_malformed_input():
+    f5, f7 = make_field(5), make_field(7)
+    with pytest.raises(SpecMismatch):
+        is_arc([_pt(f5, 1, 0, 0), _pt(f5, 0, 1, 0), _pt(f7, 0, 0, 1)])
+    # ProjPoint does not canonicalize; [2:2:2] is the point [1:1:1]
+    two = f5.from_int(2)
+    scaled, unit = ProjPoint((two, two, two)), _pt(f5, 1, 1, 1)
+    assert is_arc([scaled, unit]) == (False, (scaled, unit))
+
+
+def test_arc_validation_runs_no_determinant_scan(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return collinear(*args)
+
+    for module in list(sys.modules.values()):
+        if module and module.__name__.startswith("galoisplane") \
+                and getattr(module, "collinear", None) is collinear:
+            monkeypatch.setattr(module, "collinear", counted)
+    Arc(_oval(make_field(13)))
+    fit_conic_nullspace(_oval(make_field(7)))
+    assert calls == []
 
 
 def test_arc_constructor_sorts_and_validates():
