@@ -31,9 +31,8 @@ def is_arc(points) -> tuple:
     The witness is the first equal pair, else the first collinear triple, in
     `itertools.combinations` order over the input positions.  Up to
     PLANE_MAX_ORDER each point is looked up in the cached plane by its
-    canonical form, and collinearity is read off the plane's incidence: each
-    point's position bit is ORed into the masks of the q + 1 lines through
-    it, and a line whose mask holds three or more bits carries a collinear
+    canonical form, and collinearity is read off the plane's per-line masks
+    of input positions: a line holding three or more carries a collinear
     triple, its three lowest positions first.  Above that order no plane
     exists, and every pair is compared and every triple's determinant tested.
     """
@@ -48,29 +47,18 @@ def is_arc(points) -> tuple:
         return _is_arc_by_determinants(pts)
 
     pl = plane(spec)
-    point_index = pl.point_index
-    indices = []
+    indices = [pl.index(p) for p in pts]
     first_pos = {}
     duplicate = None
-    for pos, p in enumerate(pts):
-        i = point_index.get(p)
-        if i is None:
-            i = point_index[canonicalize(p.coords)]
+    for pos, i in enumerate(indices):
         first = first_pos.setdefault(i, pos)
         if first != pos and (duplicate is None or first < duplicate[0]):
             duplicate = (first, pos)
-        indices.append(i)
     if duplicate is not None:
         return False, (pts[duplicate[0]], pts[duplicate[1]])
 
-    point_lines = pl.point_lines
-    masks = {}
-    for pos, i in enumerate(indices):
-        bit = 1 << pos
-        for li in point_lines[i]:
-            masks[li] = masks.get(li, 0) | bit
     witness = None
-    for m in masks.values():
+    for m in pl.line_hits(indices).values():
         if m.bit_count() >= 3:
             lowest = []
             for _ in range(3):
@@ -97,7 +85,7 @@ def _is_arc_by_determinants(pts: list) -> tuple:
 
 
 class Arc:
-    """An arc, held as a tuple of points sorted in plane enumeration order."""
+    """An arc, held as a tuple of canonical points in plane enumeration order."""
 
     __slots__ = ("points",)
 
@@ -118,6 +106,11 @@ class Arc:
                     "three arc points are collinear: "
                     + " ".join(p.to_text() for p in witness)
                 )
+            if spec.q > PLANE_MAX_ORDER:
+                pts = tuple(canonicalize(p.coords) for p in pts)
+            else:
+                pl = plane(spec)
+                pts = tuple(pl.points[pl.index(p)] for p in pts)
         self.points = tuple(sorted(pts, key=point_sort_key))
 
     @property
@@ -165,18 +158,11 @@ def tangent_lines(arc: Arc, p: ProjPoint) -> list:
     of the q + 1 lines through p, the n - 1 secants to the other arc points
     are pairwise distinct because no line carries 3 arc points.
     """
-    if p not in arc.points:
-        raise PointNotOnArc(f"{p.to_text()} is not a point of the arc")
     pl = plane(arc.spec)
-    arc_mask = 0
-    for a in arc.points:
-        arc_mask |= 1 << pl.point_index[a]
-    pi = pl.point_index[p]
-    out = []
-    for li in pl.point_lines[pi]:
-        if (pl.line_masks[li] & arc_mask).bit_count() == 1:
-            out.append(pl.lines[li])
-    return out
+    i, mask = pl.index(p), pl.mask(arc.points)
+    if not mask >> i & 1:
+        raise PointNotOnArc(f"{p.to_text()} is not a point of the arc")
+    return pl.tangents(i, mask)
 
 
 def search_maximal_arcs(spec: FieldSpec, target_size: int, limit=None,

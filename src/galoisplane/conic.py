@@ -38,7 +38,6 @@ from .gf import FieldElement, FieldSpec
 from .linalg import Mat
 from .pg2 import (
     Collineation,
-    Plane,
     ProjLine,
     ProjPoint,
     canonicalize_line,
@@ -185,15 +184,7 @@ def combinatorial_tangents(conic: Conic, p: ProjPoint) -> list:
     if not conic.evaluate(p).is_zero():
         raise NotOnVariety(f"{p.to_text()} is not on the conic {conic.to_text()}")
     pl = plane(conic.spec)
-    var_mask = 0
-    for v in variety_of(conic):
-        var_mask |= 1 << pl.point_index[v]
-    pi = pl.point_index[p]
-    out = []
-    for li in pl.point_lines[pi]:
-        if (pl.line_masks[li] & var_mask).bit_count() == 1:
-            out.append(pl.lines[li])
-    return out
+    return pl.tangents(pl.index(p), pl.mask(conic.variety()))
 
 
 @dataclass(frozen=True)
@@ -218,24 +209,21 @@ class NondegeneracyReport:
 def is_nondegenerate(conic: Conic) -> NondegeneracyReport:
     """Run both non-degeneracy criteria over the full plane.
 
-    A single counting pass over the cached line masks gives the maximum
-    number of variety points on any line.
+    The plane's per-line counts of the variety points give the maximum
+    number on any line; `line_witness` is the lowest-index line holding that
+    many, when it is 3 or more.
     """
     spec = conic.spec
     pl = plane(spec)
     pts = variety_of(conic)
-    var_mask = 0
-    for p in pts:
-        var_mask |= 1 << pl.point_index[p]
-
-    max_on_line = 0
+    counts = {
+        li: m.bit_count()
+        for li, m in pl.line_hits([pl.index(p) for p in pts]).items()
+    }
+    max_on_line = max(counts.values(), default=0)
     line_witness = None
-    for li, mask in enumerate(pl.line_masks):
-        k = (mask & var_mask).bit_count()
-        if k > max_on_line:
-            max_on_line = k
-            if k >= 3:
-                line_witness = pl.lines[li]
+    if max_on_line >= 3:
+        line_witness = pl.lines[min(li for li, k in counts.items() if k == max_on_line)]
     combinatorial_ok = len(pts) > 0 and max_on_line <= 2
 
     gradient_ok: Optional[bool]

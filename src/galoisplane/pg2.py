@@ -11,8 +11,8 @@ same triple order for their coefficient vectors.
 
 The Plane class caches the whole incidence structure (point and line lists,
 per-line point indices, per-point line indices, line bitmasks, a
-line-through-pair table) in integer-code space so that search and
-verification loops run on plain ints.
+line-through-pair table) in integer-code space and counts incidences of point
+sets on it, so that search and verification loops run on plain ints.
 """
 
 from __future__ import annotations
@@ -187,8 +187,8 @@ class Plane:
 
     __slots__ = (
         "spec", "n", "points", "lines", "point_index", "line_index",
-        "_code_point_index", "line_points", "point_lines", "line_masks",
-        "_pair", "_pair_dict", "_monomials", "_point_line_sets",
+        "line_points", "point_lines", "line_masks",
+        "_pair", "_pair_dict", "_monomials",
     )
 
     def __init__(self, spec: FieldSpec):
@@ -198,7 +198,7 @@ class Plane:
         add, mul, neg, inv = spec.op_tables()
 
         code_triples = list(iter_point_codes(spec))
-        self._code_point_index = {t: i for i, t in enumerate(code_triples)}
+        cpi = {t: i for i, t in enumerate(code_triples)}
         self.points = tuple(_point_from_codes(spec, t) for t in code_triples)
         self.lines = tuple(ProjLine(p.coords) for p in self.points)
         self.point_index = {p: i for i, p in enumerate(self.points)}
@@ -208,7 +208,6 @@ class Plane:
         # orthogonal complement of the coefficient triple.  The generated
         # triples come out canonical already.
         line_points = []
-        cpi = self._code_point_index
         for (a, b, c) in code_triples:
             if c:
                 ic = inv[c]
@@ -258,7 +257,43 @@ class Plane:
             self._pair = None
             self._pair_dict = {}
         self._monomials = None
-        self._point_line_sets = None
+
+    def index(self, p: ProjPoint) -> int:
+        """Index of a point, looked up by its canonical form if p is not canonical."""
+        i = self.point_index.get(p)
+        if i is None:
+            if p.spec != self.spec:
+                raise SpecMismatch("point and plane from different field specs")
+            i = self.point_index[canonicalize(p.coords)]
+        return i
+
+    def mask(self, points) -> int:
+        """Bitmask of the indices of the given points."""
+        m = 0
+        for p in points:
+            m |= 1 << self.index(p)
+        return m
+
+    def line_hits(self, indices) -> dict:
+        """Per line through any of the given point indices, a bitmask of their positions.
+
+        Bit k of line li's mask is set iff indices[k] lies on li; lines absent
+        from the dict hold none of the points.
+        """
+        point_lines = self.point_lines
+        hits = {}
+        for pos, i in enumerate(indices):
+            bit = 1 << pos
+            for li in point_lines[i]:
+                hits[li] = hits.get(li, 0) | bit
+        return hits
+
+    def tangents(self, i: int, mask: int) -> list:
+        """The lines through point i that meet the point bitmask nowhere else."""
+        others = mask & ~(1 << i)
+        line_masks = self.line_masks
+        return [self.lines[li] for li in self.point_lines[i]
+                if not line_masks[li] & others]
 
     def pair_line(self, i: int, j: int) -> int:
         """Index of the unique line through points i and j (i != j)."""
@@ -282,11 +317,6 @@ class Plane:
                             mul[x][y], mul[x][z], mul[y][z]))
             self._monomials = tuple(out)
         return self._monomials
-
-    def point_line_sets(self) -> tuple:
-        if self._point_line_sets is None:
-            self._point_line_sets = tuple(frozenset(ls) for ls in self.point_lines)
-        return self._point_line_sets
 
 
 _plane_cache: dict[FieldSpec, Plane] = {}
@@ -329,6 +359,15 @@ class AxiomReport:
                 and self.joins_unique and self.meets_unique and self.quadrilateral_ok)
 
 
+def _meet_pairwise_once(families) -> bool:
+    """True iff every two of the index sets share exactly one element."""
+    sets = [frozenset(f) for f in families]
+    return all(
+        len(sets[a] & sets[b]) == 1
+        for a in range(len(sets)) for b in range(a + 1, len(sets))
+    )
+
+
 def verify_axioms(spec: FieldSpec, *, max_order: int = 13) -> AxiomReport:
     """Exhaustively check the projective plane axioms and counting facts.
 
@@ -345,27 +384,8 @@ def verify_axioms(spec: FieldSpec, *, max_order: int = 13) -> AxiomReport:
     line_degrees_ok = all(len(pts) == q + 1 for pts in pl.line_points)
     point_degrees_ok = all(len(ls) == q + 1 for ls in pl.point_lines)
 
-    line_sets = pl.point_line_sets()
-    joins_unique = True
-    for a in range(pl.n):
-        sa = line_sets[a]
-        for b in range(a + 1, pl.n):
-            if len(sa & line_sets[b]) != 1:
-                joins_unique = False
-                break
-        if not joins_unique:
-            break
-
-    point_sets = [frozenset(pts) for pts in pl.line_points]
-    meets_unique = True
-    for a in range(pl.n):
-        sa = point_sets[a]
-        for b in range(a + 1, pl.n):
-            if len(sa & point_sets[b]) != 1:
-                meets_unique = False
-                break
-        if not meets_unique:
-            break
+    joins_unique = _meet_pairwise_once(pl.point_lines)
+    meets_unique = _meet_pairwise_once(pl.line_points)
 
     one, zero = spec.one(), spec.zero()
     quad = [
@@ -467,9 +487,11 @@ def frame_transform(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint) -> C
         (a.coords[1], b.coords[1], c.coords[1]),
         (a.coords[2], b.coords[2], c.coords[2]),
     ])
-    if det3(m).is_zero():
-        raise DegenerateFrame("first three frame points are collinear")
-    lam = mat_vec(inverse3(m), d.coords)
+    try:
+        m_inv = inverse3(m)
+    except Singular:
+        raise DegenerateFrame("first three frame points are collinear") from None
+    lam = mat_vec(m_inv, d.coords)
     if any(x.is_zero() for x in lam):
         raise DegenerateFrame("fourth frame point lies on a side of the base triangle")
     scaled = Mat.from_rows([

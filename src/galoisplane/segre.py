@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .arcs import Arc, is_arc, tangent_lines
+from .arcs import Arc, is_arc
 from .conic import Conic, is_nondegenerate, transform_conic
 from .errors import (
     Degenerate,
@@ -499,10 +499,12 @@ def reconstruct_conic(oval: Arc, base=None) -> tuple:
 
     identities_ok = True
     base_set = set(norm.base)
+    pl = plane(spec)
+    oval_mask = pl.mask(oval.points)
     for p in oval.points:
         if p in base_set:
             continue
-        tangent = tangent_lines(oval, p)[0]
+        tangent = pl.tangents(pl.index(p), oval_mask)[0]
         c = t.apply(p).coords
         b = t.apply_line(tangent).coeffs
         lhs_rhs = (

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from galoisplane.arcs import Arc, is_arc, search_maximal_arcs, tangent_lines
-from galoisplane.conic import parse_conic
+from galoisplane.conic import combinatorial_tangents, parse_conic
 from galoisplane.errors import (
     BoundExceeded,
     Degenerate,
@@ -24,7 +24,7 @@ from galoisplane.pg2 import (
     plane,
     point_sort_key,
 )
-from galoisplane.segre import fit_conic_nullspace
+from galoisplane.segre import fit_conic_nullspace, reconstruct_conic
 
 
 def _oval(spec):
@@ -128,6 +128,29 @@ def test_is_arc_malformed_input():
     assert is_arc([scaled, unit]) == (False, (scaled, unit))
 
 
+def test_arc_stores_noncanonical_points_canonically():
+    # [2:2:2] is the point [1:1:1]; an Arc given either is the same arc
+    spec = make_field(5)
+    conic = parse_conic(spec, "[1:0:0:0:0:-1]")
+    unit = _pt(spec, 1, 1, 1)
+    two = spec.from_int(2)
+    scaled = ProjPoint((two, two, two))
+    pts = list(conic.variety())
+    arc = Arc(pts)
+    scaled_arc = Arc([scaled if p == unit else p for p in pts])
+    assert scaled_arc == arc and hash(scaled_arc) == hash(arc)
+    assert scaled_arc.points == arc.points
+    for a in (arc, scaled_arc):
+        assert tangent_lines(a, scaled) == tangent_lines(arc, unit)
+    assert combinatorial_tangents(conic, scaled) == combinatorial_tangents(conic, unit)
+    assert reconstruct_conic(scaled_arc)[1].to_json() == reconstruct_conic(arc)[1].to_json()
+
+    big = make_field(131)
+    seven = big.from_int(7)
+    frame = [_pt(big, 1, 0, 0), _pt(big, 0, 1, 0), _pt(big, 0, 0, 1)]
+    assert Arc(frame + [ProjPoint((seven, seven, seven))]) == Arc(frame + [_pt(big, 1, 1, 1)])
+
+
 def test_arc_validation_runs_no_determinant_scan(monkeypatch):
     calls = []
 
@@ -178,6 +201,8 @@ def test_tangent_lines_requires_membership():
     arc = Arc(_oval(spec))
     with pytest.raises(PointNotOnArc):
         tangent_lines(arc, _pt(spec, 1, 0, 0))
+    with pytest.raises(SpecMismatch):
+        tangent_lines(arc, _pt(make_field(7), 1, 1, 1))
 
 
 def test_search_counts_q3():

@@ -1,21 +1,32 @@
 """Command line behavior: output shape, exit codes, and reproducibility."""
 
 import json
+import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from galoisplane.cli import main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def _run_text(*argv):
+    """In-process invocation; returns (exit_code, stdout, stderr)."""
+    import io
+    from contextlib import redirect_stderr, redirect_stdout
+
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 def _run(*argv):
     """In-process invocation; returns (exit_code, stdout_lines)."""
-    import io
-    from contextlib import redirect_stdout
-
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        code = main(list(argv))
-    return code, buf.getvalue().splitlines()
+    code, out, _ = _run_text(*argv)
+    return code, out.splitlines()
 
 
 def _run_proc(*argv):
@@ -204,3 +215,18 @@ def test_console_script_entry():
     proc = _run_proc("--help")
     assert proc.returncode == 0
     assert "plane" in proc.stdout and "segre" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "case", json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8")),
+    ids=lambda case: case["name"],
+)
+def test_golden_output(case):
+    """Exit code, stdout and stderr of every README example, the q=5
+    certificate, a degenerate variety and three rejected inputs, byte for
+    byte as recorded in tests/golden/ (a missing .err file means no stderr)."""
+    code, out, err = _run_text(*case["argv"])
+    assert code == case["exit"]
+    assert out == (GOLDEN / f"{case['name']}.out").read_bytes().decode("utf-8")
+    err_file = GOLDEN / f"{case['name']}.err"
+    assert err == (err_file.read_bytes().decode("utf-8") if err_file.exists() else "")

@@ -209,6 +209,72 @@ def test_combinatorial_tangents_requires_variety_point():
         combinatorial_tangents(c, _pt(spec, 1, 0, 0))
 
 
+def _lines_scan_report(pl, pts):
+    """Reference: (max points on a line, its lowest-index line or None below
+    3), by ANDing every one of the n line masks with the variety's mask."""
+    var_mask = 0
+    for p in pts:
+        var_mask |= 1 << pl.point_index[p]
+    max_on_line, witness = 0, None
+    for li, mask in enumerate(pl.line_masks):
+        k = (mask & var_mask).bit_count()
+        if k > max_on_line:
+            max_on_line = k
+            if k >= 3:
+                witness = pl.lines[li]
+    return max_on_line, witness
+
+
+def _report_fields(report):
+    return report.max_points_on_a_line, report.line_witness
+
+
+def test_nondegeneracy_line_counts_match_full_scan():
+    rng = random.Random(41)
+    witnessed = 0
+    for p, k in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)):
+        spec = make_field(p, k)
+        pl = plane(spec)
+        for _ in range(60):
+            coeffs = [rng.randrange(spec.q) for _ in range(6)]
+            if not any(coeffs):
+                continue
+            c = Conic(tuple(spec.from_int(v) for v in coeffs))
+            got = _report_fields(is_nondegenerate(c))
+            assert got == _lines_scan_report(pl, c.variety()), (spec.q, coeffs)
+            witnessed += got[1] is not None
+    assert witnessed > 0
+    spec = make_field(7)
+    for ints in ((1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0), (1, 1, 0, 0, 0, 0)):
+        c = _conic(spec, *ints)
+        assert _report_fields(is_nondegenerate(c)) == \
+            _lines_scan_report(plane(spec), c.variety()), ints
+
+
+def test_nondegeneracy_report_of_empty_variety(monkeypatch):
+    # every ternary quadratic form over GF(q) has a projective zero
+    # (Chevalley-Warning), so the empty variety is supplied by hand
+    import galoisplane.conic as conic_module
+
+    monkeypatch.setattr(conic_module, "variety_of", lambda conic: ())
+    spec = make_field(3)
+    report = is_nondegenerate(_conic(spec, 1, 1, 1, 0, 0, 0))
+    assert _report_fields(report) == _lines_scan_report(plane(spec), ()) == (0, None)
+    assert report.variety_size == 0 and not report.combinatorial_ok
+
+
+def test_combinatorial_tangents_match_brute_force_on_degenerate_conics():
+    spec = make_field(5)
+    pl = plane(spec)
+    for ints in ((0, 0, 0, 1, 0, 0), (1, 0, 0, 0, 0, 0)):  # xy, x^2
+        c = _conic(spec, *ints)
+        var = c.variety()
+        for p in var:
+            want = [l for l in pl.lines
+                    if incident(p, l) and sum(incident(v, l) for v in var) == 1]
+            assert combinatorial_tangents(c, p) == want, (ints, p)
+
+
 def test_degenerate_double_line():
     spec = make_field(5)
     c = _conic(spec, 1, 0, 0, 0, 0, 0)  # x^2: the line x=0 doubled

@@ -12,12 +12,15 @@ from galoisplane.errors import (
     EqualLines,
     EqualPoints,
     Singular,
+    SpecMismatch,
     ZeroVector,
 )
 from galoisplane.gf import make_field
+from galoisplane import pg2
 from galoisplane.linalg import Mat
 from galoisplane.pg2 import (
     Collineation,
+    Plane,
     ProjPoint,
     canonicalize,
     canonicalize_line,
@@ -157,6 +160,28 @@ def test_plane_pair_line_agrees_with_join():
         assert pl.lines[li] == join(pl.points[i], pl.points[j])
 
 
+def test_plane_pair_line_dict_fallback_agrees_with_join():
+    # above q = 31 the pair table is a lazily filled dict instead of a matrix
+    pl = plane(make_field(2, 5))
+    assert pl._pair is None
+    rng = random.Random(32)
+    for _ in range(100):
+        i, j = rng.sample(range(pl.n), 2)
+        li = pl.pair_line(i, j)
+        assert pl.lines[li] == join(pl.points[i], pl.points[j])
+        assert pl.pair_line(j, i) == li
+
+
+def test_plane_index_canonicalizes():
+    spec = make_field(5)
+    pl = plane(spec)
+    two = spec.from_int(2)
+    assert pl.index(ProjPoint((two, two, two))) == pl.point_index[canonicalize(_e(spec, 1, 1, 1))]
+    assert [pl.index(p) for p in pl.points] == list(range(pl.n))
+    with pytest.raises(SpecMismatch):
+        pl.index(canonicalize(_e(make_field(7), 1, 1, 1)))
+
+
 def test_plane_line_masks():
     spec = make_field(3)
     pl = plane(spec)
@@ -182,6 +207,39 @@ def test_axioms_small_orders():
         q = p ** k
         assert report.n_points == q * q + q + 1
         assert report.n_lines == report.n_points
+
+
+@pytest.fixture
+def doctored_plane():
+    """A private q = 3 plane swapped into the plane cache, restored afterwards."""
+    spec = make_field(3)
+    saved = pg2._plane_cache.get(spec)
+    pl = Plane(spec)
+    pg2._plane_cache[spec] = pl
+    try:
+        yield spec, pl
+    finally:
+        if saved is None:
+            pg2._plane_cache.pop(spec, None)
+        else:
+            pg2._plane_cache[spec] = saved
+
+
+@pytest.mark.parametrize("family, flag", [
+    ("point_lines", "joins_unique"),   # points 0 and 1 then share q+1 lines
+    ("line_points", "meets_unique"),   # lines 0 and 1 then share q+1 points
+])
+def test_axioms_report_non_unique_joins_and_meets(doctored_plane, family, flag):
+    spec, pl = doctored_plane
+    rows = list(getattr(pl, family))
+    rows[0] = rows[1]
+    setattr(pl, family, tuple(rows))
+    report = verify_axioms(spec)
+    assert not report.ok
+    failed = [name for name in ("counts_ok", "line_degrees_ok", "point_degrees_ok",
+                                "joins_unique", "meets_unique", "quadrilateral_ok")
+              if not getattr(report, name)]
+    assert failed == [flag]
 
 
 def test_axioms_bound():
@@ -277,7 +335,7 @@ def test_frame_transform_degenerate_rejected():
     b = canonicalize(_e(spec, 0, 1, 0))
     c = canonicalize(_e(spec, 1, 1, 0))  # collinear with a, b
     d = canonicalize(_e(spec, 1, 1, 1))
-    with pytest.raises(DegenerateFrame):
+    with pytest.raises(DegenerateFrame, match="first three frame points are collinear"):
         frame_transform(a, b, c, d)
     # fourth point on a side
     c2 = canonicalize(_e(spec, 0, 0, 1))

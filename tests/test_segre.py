@@ -25,6 +25,7 @@ from galoisplane.gf import make_field
 from galoisplane.linalg import Mat
 from galoisplane.pg2 import (
     Collineation,
+    Plane,
     canonicalize,
     canonicalize_line,
     collinear,
@@ -434,3 +435,17 @@ def test_reconstruct_every_oval_q3():
         assert {p.to_text() for p in got.variety()} == \
             {p.to_text() for p in oval.points}
         assert is_nondegenerate(got).verdict
+
+
+def test_reconstruct_builds_the_oval_mask_once(monkeypatch):
+    sizes = []
+    original = Plane.mask
+
+    def counted(self, points):
+        sizes.append(len(points))
+        return original(self, points)
+
+    monkeypatch.setattr(Plane, "mask", counted)
+    spec = make_field(13)
+    reconstruct_conic(Arc(parse_conic(spec, "[1:0:0:0:0:-1]").variety()))
+    assert sizes == [14]
