@@ -128,7 +128,7 @@ class Arc:
         return self.size == self.spec.q + 2
 
     def __contains__(self, p) -> bool:
-        return p in self.points
+        return canonicalize(p.coords) in self.points
 
     def __iter__(self):
         return iter(self.points)

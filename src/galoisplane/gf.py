@@ -2,17 +2,21 @@
 
 Representation conventions:
 
-- An element is a vector of k integer coefficients in [0, p), constant term
-  first, reduced modulo a fixed monic irreducible modulus of degree k.
-  Coefficient vectors, not multiplicative-generator logs: addition dominates
-  in the linear algebra built on top of this module.
+- An element is its integer code.  The code of the polynomial
+  c0 + c1*x + ... + c(k-1)*x^(k-1), reduced modulo a fixed monic irreducible
+  modulus of degree k, is sum(c_i * p**i); `coeffs` reads the digits back.
+  Enumeration is in code order, so 0 comes first and the prime subfield
+  occupies codes 0..p-1.
 - The modulus is a vector of k+1 coefficients, constant term first, leading
   coefficient 1.  When none is supplied, the lexicographically smallest monic
   irreducible polynomial is selected by exhaustive enumeration, comparing
-  coefficient tuples constant term first.  For k = 1 that is the polynomial x
-  and arithmetic is plain arithmetic mod p.
-- Every element has an integer code sum(coeffs[i] * p**i).  Enumeration is in
-  code order, so 0 comes first and the prime subfield occupies codes 0..p-1.
+  coefficient tuples constant term first.  For k = 1 that is the polynomial x.
+- All arithmetic, prime and extension fields alike, runs on one kernel per
+  field, built on first use from the powers of g, the nonzero element of
+  least code whose powers have period q-1: the antilog table over two
+  periods, the log table, the Zech logarithms zech[n] = log(1 + g^n) (-1
+  where 1 + g^n = 0) and log(-1) (Lidl & Niederreiter, Finite Fields,
+  section 10.3).  Each of + - * / neg inv ** is then a table lookup.
 - Field construction is capped (default 2**14): everything downstream works
   by exhaustive enumeration, so unbounded orders only produce silent hangs.
 
@@ -38,8 +42,6 @@ DEFAULT_MAX_ORDER = 2 ** 14
 # Op tables are q*q ints apiece; past this order they cost more than they save.
 _TABLE_MAX_ORDER = 512
 
-_ARITH_KINDS = ("add", "sub", "mul", "neg")
-
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -54,6 +56,16 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _poly_mul(f, g, p: int) -> list[int]:
+    """Product of two coefficient sequences over GF(p), constant term first."""
+    prod = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                prod[i + j] = (prod[i + j] + a * b) % p
+    return prod
+
+
 def _poly_rem(f: list[int], d: tuple[int, ...], p: int) -> list[int]:
     """Remainder of f modulo d over GF(p); d is monic so no leading inverse is needed."""
     r = list(f)
@@ -65,6 +77,23 @@ def _poly_rem(f: list[int], d: tuple[int, ...], p: int) -> list[int]:
             for j in range(deg_d):
                 r[i - deg_d + j] = (r[i - deg_d + j] - c * d[j]) % p
     return r[:deg_d]
+
+
+def _code(coeffs, p: int) -> int:
+    """Integer code sum(coeffs[i] * p**i) of a coefficient sequence."""
+    code = 0
+    for c in reversed(coeffs):
+        code = code * p + c
+    return code
+
+
+def _digits(code: int, p: int, k: int) -> list[int]:
+    """The k base-p digits of code, constant term first."""
+    out = []
+    for _ in range(k):
+        code, d = divmod(code, p)
+        out.append(d)
+    return out
 
 
 def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
@@ -96,7 +125,7 @@ class FieldSpec:
     make_field, which also interns specs so equal inputs share one object.
     """
 
-    __slots__ = ("p", "k", "q", "modulus", "_elements", "_tables")
+    __slots__ = ("p", "k", "q", "modulus", "_elements", "_tables", "_kernel")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         self.p = p
@@ -105,6 +134,7 @@ class FieldSpec:
         self.modulus = modulus
         self._elements = None
         self._tables = None
+        self._kernel = None
 
     def __eq__(self, other):
         if not isinstance(other, FieldSpec):
@@ -125,23 +155,16 @@ class FieldSpec:
         return f"q={self.p}^{self.k}:{mods}"
 
     def zero(self) -> FieldElement:
-        return FieldElement(self, (0,) * self.k)
+        return FieldElement(self, 0)
 
     def one(self) -> FieldElement:
-        return FieldElement(self, (1,) + (0,) * (self.k - 1))
+        return FieldElement(self, 1)
 
     def from_int(self, code: int) -> FieldElement:
         """Element with the given integer code in [0, q)."""
         if not 0 <= code < self.q:
             raise ValueError(f"element code {code} out of range for GF({self.q})")
-        if self.k == 1:
-            return FieldElement(self, (code,))
-        digits = []
-        n = code
-        for _ in range(self.k):
-            digits.append(n % self.p)
-            n //= self.p
-        return FieldElement(self, tuple(digits))
+        return FieldElement(self, code)
 
     def element(self, value) -> FieldElement:
         """Coerce an int code, a negative int (additive inverse of its magnitude),
@@ -160,13 +183,13 @@ class FieldSpec:
         if isinstance(value, (list, tuple)):
             if len(value) != self.k:
                 raise ValueError(f"expected {self.k} coefficients, got {len(value)}")
-            return FieldElement(self, tuple(int(c) % self.p for c in value))
+            return FieldElement(self, _code([int(c) % self.p for c in value], self.p))
         raise TypeError(f"cannot coerce {value!r} to an element of GF({self.q})")
 
     def elements(self) -> tuple:
         """All q elements in code order (cached)."""
         if self._elements is None:
-            self._elements = tuple(self.from_int(n) for n in range(self.q))
+            self._elements = tuple(FieldElement(self, n) for n in range(self.q))
         return self._elements
 
     def op_tables(self):
@@ -181,30 +204,58 @@ class FieldSpec:
                 raise BoundExceeded(
                     f"op tables supported only for q <= {_TABLE_MAX_ORDER}, got q={q}"
                 )
-            p = self.p
-            if self.k == 1:
-                add = [[(a + b) % p for b in range(p)] for a in range(p)]
-                mul = [[(a * b) % p for b in range(p)] for a in range(p)]
-                neg = [(-a) % p for a in range(p)]
-                inv = [-1] + [pow(a, p - 2, p) for a in range(1, p)]
-            else:
-                elems = self.elements()
-                add = [[(a + b).to_int() for b in elems] for a in elems]
-                mul = [[(a * b).to_int() for b in elems] for a in elems]
-                neg = [(-a).to_int() for a in elems]
-                inv = [-1] + [elems[n].inv().to_int() for n in range(1, q)]
+            elems = self.elements()
+            add = [[(a + b).code for b in elems] for a in elems]
+            mul = [[(a * b).code for b in elems] for a in elems]
+            neg = [(-a).code for a in elems]
+            inv = [-1] + [a.inv().code for a in elems[1:]]
             self._tables = (add, mul, neg, inv)
         return self._tables
 
+    def _build_kernel(self) -> tuple:
+        """(antilog, log, zech, log(-1)) on codes; see the module docstring.
+
+        The antilog table holds the codes of g^0 .. g^(2q-3), so that a sum
+        of two logs indexes it unreduced; zech has one period, so len(zech)
+        is q - 1.  log[0] is -1, which also marks the Zech entries where
+        1 + g^n = 0.
+        """
+        p, q = self.p, self.q
+        for g in range(1, q):
+            g_coeffs = _digits(g, p, self.k)
+            while not g_coeffs[-1]:
+                g_coeffs.pop()
+            powers, f = [1], [1]
+            while True:
+                f = _poly_rem(_poly_mul(f, g_coeffs, p), self.modulus, p)
+                code = _code(f, p)
+                if code == 1:
+                    break
+                powers.append(code)
+            if len(powers) == q - 1:
+                break
+        log = [-1] * q
+        for n, c in enumerate(powers):
+            log[c] = n
+        # 1 + c changes only the constant digit of c
+        zech = [log[c - c % p + (c % p + 1) % p] for c in powers]
+        self._kernel = (powers * 2, log, zech, log[p - 1])
+        return self._kernel
+
 
 class FieldElement:
-    """One element of GF(p^k): an immutable reduced coefficient vector."""
+    """One element of GF(p^k), held as its integer code."""
 
-    __slots__ = ("spec", "coeffs")
+    __slots__ = ("spec", "code")
 
-    def __init__(self, spec: FieldSpec, coeffs: tuple[int, ...]):
+    def __init__(self, spec: FieldSpec, code: int):
         self.spec = spec
-        self.coeffs = coeffs
+        self.code = code
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """The k polynomial coefficients, constant term first."""
+        return tuple(_digits(self.code, self.spec.p, self.spec.k))
 
     def _check(self, other) -> FieldElement:
         if not isinstance(other, FieldElement):
@@ -214,100 +265,93 @@ class FieldElement:
         return other
 
     def __add__(self, other):
-        other = self._check(other)
-        p = self.spec.p
-        return FieldElement(
-            self.spec, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs))
-        )
+        a, b = self.code, self._check(other).code
+        if not b:
+            return self
+        if not a:
+            return other
+        antilog, log, zech, _ = self.spec._kernel or self.spec._build_kernel()
+        la = log[a]
+        # g^la + g^lb = g^la * (1 + g^(lb - la)); a negative index wraps a period
+        z = zech[log[b] - la]
+        return FieldElement(self.spec, antilog[la + z] if z >= 0 else 0)
 
     def __sub__(self, other):
-        other = self._check(other)
-        p = self.spec.p
-        return FieldElement(
-            self.spec, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs))
-        )
+        a, b = self.code, self._check(other).code
+        if not b:
+            return self
+        antilog, log, zech, log_m1 = self.spec._kernel or self.spec._build_kernel()
+        lnb = log[b] + log_m1
+        if not a:
+            return FieldElement(self.spec, antilog[lnb])
+        la = log[a]
+        z = zech[(lnb - la) % len(zech)]
+        return FieldElement(self.spec, antilog[la + z] if z >= 0 else 0)
 
     def __neg__(self):
-        p = self.spec.p
-        return FieldElement(self.spec, tuple((-a) % p for a in self.coeffs))
+        if not self.code:
+            return self
+        antilog, log, _, log_m1 = self.spec._kernel or self.spec._build_kernel()
+        return FieldElement(self.spec, antilog[log[self.code] + log_m1])
 
     def __mul__(self, other):
-        other = self._check(other)
-        spec = self.spec
-        p = spec.p
-        k = spec.k
-        if k == 1:
-            return FieldElement(spec, ((self.coeffs[0] * other.coeffs[0]) % p,))
-        prod = [0] * (2 * k - 1)
-        for i, ai in enumerate(self.coeffs):
-            if ai:
-                row = other.coeffs
-                for j in range(k):
-                    bj = row[j]
-                    if bj:
-                        prod[i + j] = (prod[i + j] + ai * bj) % p
-        m = spec.modulus
-        for d in range(2 * k - 2, k - 1, -1):
-            c = prod[d]
-            if c:
-                prod[d] = 0
-                for j in range(k):
-                    prod[d - k + j] = (prod[d - k + j] - c * m[j]) % p
-        return FieldElement(spec, tuple(prod[:k]))
+        a, b = self.code, self._check(other).code
+        if not a:
+            return self
+        if not b:
+            return other
+        antilog, log, _, _ = self.spec._kernel or self.spec._build_kernel()
+        return FieldElement(self.spec, antilog[log[a] + log[b]])
 
     def __truediv__(self, other):
-        other = self._check(other)
-        return self * other.inv()
+        a, b = self.code, self._check(other).code
+        if not b:
+            raise DivisionByZero(f"inverse of zero in GF({self.spec.q})")
+        if not a:
+            return self
+        antilog, log, zech, _ = self.spec._kernel or self.spec._build_kernel()
+        return FieldElement(self.spec, antilog[log[a] - log[b] + len(zech)])
 
     def __pow__(self, e: int):
-        if e < 0:
-            return self.inv() ** (-e)
-        result = self.spec.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        if not self.code:
+            if e < 0:
+                raise DivisionByZero(f"inverse of zero in GF({self.spec.q})")
+            return FieldElement(self.spec, 0 if e else 1)
+        antilog, log, zech, _ = self.spec._kernel or self.spec._build_kernel()
+        return FieldElement(self.spec, antilog[log[self.code] * e % len(zech)])
 
     def inv(self) -> FieldElement:
-        """Multiplicative inverse, computed as self**(q-2)."""
-        if self.is_zero():
+        """Multiplicative inverse, g^(q-1-log(self))."""
+        if not self.code:
             raise DivisionByZero(f"inverse of zero in GF({self.spec.q})")
-        if self.spec.k == 1:
-            p = self.spec.p
-            return FieldElement(self.spec, (pow(self.coeffs[0], p - 2, p),))
-        return self ** (self.spec.q - 2)
+        antilog, log, zech, _ = self.spec._kernel or self.spec._build_kernel()
+        return FieldElement(self.spec, antilog[len(zech) - log[self.code]])
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.code
 
     def __bool__(self):
-        return any(self.coeffs)
+        return self.code != 0
 
     def to_int(self) -> int:
         """Integer code sum(coeffs[i] * p**i)."""
-        code = 0
-        for c in reversed(self.coeffs):
-            code = code * self.spec.p + c
-        return code
+        return self.code
 
     def __eq__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.coeffs == other.coeffs and (
+        return self.code == other.code and (
             other.spec is self.spec or other.spec == self.spec
         )
 
     def __hash__(self):
-        return hash((self.spec.q, self.coeffs))
+        return hash(self.code)
 
     def __repr__(self):
-        return f"GF({self.spec.q}):{self.to_int()}"
+        return f"GF({self.spec.q}):{self.code}"
 
     def __str__(self):
-        return str(self.to_int())
+        return str(self.code)
 
 
 _spec_cache: dict[tuple, FieldSpec] = {}
@@ -355,32 +399,6 @@ def make_field(p: int, k: int = 1, modulus=None, *, max_order: int = DEFAULT_MAX
     return spec
 
 
-def arith(kind: str, a: FieldElement, b: FieldElement | None = None) -> FieldElement:
-    """Dispatch add/sub/mul/neg; operands must share a spec."""
-    if kind not in _ARITH_KINDS:
-        raise ValueError(f"unknown arith kind {kind!r}; expected one of {_ARITH_KINDS}")
-    if kind == "neg":
-        if b is not None:
-            raise ValueError("neg is unary")
-        return -a
-    if b is None:
-        raise ValueError(f"{kind} needs two operands")
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    return a * b
-
-
-def inv(a: FieldElement) -> FieldElement:
-    return a.inv()
-
-
-def enumerate_field(spec: FieldSpec) -> list[FieldElement]:
-    """All q elements, deterministic code order, zero first."""
-    return list(spec.elements())
-
-
 def product_nonzero(spec: FieldSpec) -> FieldElement:
     """Product over all nonzero elements; self-checks that it equals -1."""
     acc = spec.one()
@@ -391,10 +409,6 @@ def product_nonzero(spec: FieldSpec) -> FieldElement:
             f"product of nonzero elements of GF({spec.q}) returned {acc!r}, expected -1"
         )
     return acc
-
-
-def field_to_text(spec: FieldSpec) -> str:
-    return spec.to_text()
 
 
 def _prime_power(n: int):

@@ -459,28 +459,12 @@ class Collineation:
         return f"Collineation({self.matrix!r})"
 
 
-def apply(t: Collineation, p: ProjPoint) -> ProjPoint:
-    return t.apply(p)
-
-
-def apply_line(t: Collineation, l: ProjLine) -> ProjLine:
-    return t.apply_line(l)
-
-
-def compose(t: Collineation, u: Collineation) -> Collineation:
-    """The collineation acting as u first, then t."""
-    return t @ u
-
-
-def inverse(t: Collineation) -> Collineation:
-    return t.inverse()
-
-
 def frame_transform(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint) -> Collineation:
     """The collineation sending a, b, c, d to (1,0,0), (0,1,0), (0,0,1), (1,1,1).
 
-    Columns [a|b|c] are rescaled so they sum to d, then inverted.  The four
-    points must be in general position (no three collinear).
+    Columns [a|b|c] are rescaled by lam = [a|b|c]^-1 d so they sum to d, and
+    the rescaled matrix is inverted by rescaling the rows of [a|b|c]^-1.  The
+    four points must be in general position (no three collinear).
     """
     m = Mat.from_rows([
         (a.coords[0], b.coords[0], c.coords[0]),
@@ -494,12 +478,10 @@ def frame_transform(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint) -> C
     lam = mat_vec(m_inv, d.coords)
     if any(x.is_zero() for x in lam):
         raise DegenerateFrame("fourth frame point lies on a side of the base triangle")
-    scaled = Mat.from_rows([
-        (lam[0] * a.coords[0], lam[1] * b.coords[0], lam[2] * c.coords[0]),
-        (lam[0] * a.coords[1], lam[1] * b.coords[1], lam[2] * c.coords[1]),
-        (lam[0] * a.coords[2], lam[1] * b.coords[2], lam[2] * c.coords[2]),
-    ])
-    return Collineation(inverse3(scaled))
+    # (m diag(lam))^-1 = diag(lam)^-1 m^-1: row i of m_inv scaled by 1/lam_i
+    return Collineation(Mat.from_rows(
+        [x / lam[i] for x in m_inv.row(i)] for i in range(3)
+    ))
 
 
 def line_span_points(l: ProjLine) -> list[ProjPoint]:

@@ -221,7 +221,7 @@ def tangent_frame(oval: Arc, base) -> TangentFrame:
         raise EvenOrder(f"tangent slopes need odd q, got q={q}")
     if oval.size != q + 1:
         raise NotAnOval(f"need an oval of q+1={q + 1} points, got {oval.size}")
-    base = tuple(base)
+    base = tuple(canonicalize(b.coords) for b in base)
     if len(base) != 3 or len(set(base)) != 3:
         raise EqualPoints("base must be three distinct points")
     for b in base:
@@ -524,7 +524,7 @@ def reconstruct_conic(oval: Arc, base=None) -> tuple:
     cert = Certificate(
         field=spec.to_text(),
         oval=tuple(p.to_text() for p in oval.points),
-        base_triple=tuple(p.to_text() for p in base),
+        base_triple=tuple(p.to_text() for p in frame0.base),
         frame_matrix=tuple(
             tuple(t.matrix.at(i, j).to_int() for j in range(3)) for i in range(3)
         ),

@@ -305,14 +305,6 @@ def test_single_point_variety_disagreement():
     assert not report.verdict
 
 
-def test_empty_variety_is_degenerate():
-    # x^2 + y^2 + z^2 over GF(3) sums three squares to 0 only trivially
-    spec = make_field(3)
-    c = _conic(spec, 1, 1, 1, 0, 0, 0)
-    if len(c.variety()) == 0:
-        assert not is_nondegenerate(c).verdict
-
-
 def test_upper_matrix_reproduces_form():
     rng = random.Random(5)
     for p, k in ((5, 1), (2, 2)):

@@ -12,8 +12,6 @@ from galoisplane.errors import (
     SpecMismatch,
 )
 from galoisplane.gf import (
-    enumerate_field,
-    field_to_text,
     make_field,
     parse_field,
     product_nonzero,
@@ -51,7 +49,7 @@ def test_field_element_codes_roundtrip():
 
 def test_exhaustive_field_axioms_q9():
     spec = make_field(3, 2)
-    elems = enumerate_field(spec)
+    elems = spec.elements()
     assert len(elems) == 9
     zero, one = spec.zero(), spec.one()
     for a in elems:
@@ -165,7 +163,7 @@ def test_parse_field_forms():
 
 def test_to_text_roundtrip():
     for spec in (make_field(13), make_field(2, 4), make_field(3, 3)):
-        assert parse_field(field_to_text(spec)) == spec
+        assert parse_field(spec.to_text()) == spec
 
 
 def test_product_of_nonzero_elements():
@@ -177,3 +175,68 @@ def test_element_negative_int_coercion():
     spec = make_field(7)
     assert spec.element(-1) == -spec.one()
     assert spec.element(-3).to_int() == 4
+
+
+# fields no other test reaches, and a supplied modulus
+_ORACLE_FIELDS = [(2, 7, None), (2, 10, None), (2, 14, None), (3, 8, None),
+                  (5, 6, None), (127, 2, None), (16381, 1, None), (3, 2, (2, 1, 1))]
+
+
+@pytest.mark.parametrize("p, k, modulus", _ORACLE_FIELDS,
+                         ids=[f"{p}^{k}" + (f":{m}" if m else "") for p, k, m in _ORACLE_FIELDS])
+def test_arithmetic_against_sympy_galoistools(p, k, modulus):
+    """+ - * / neg inv ** on seeded samples, read through `coeffs` and
+    recomputed as polynomials over GF(p) by sympy's galoistools."""
+    gt = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    spec = make_field(p, k, modulus)
+    q = spec.q
+    mod = [ZZ(c) for c in reversed(spec.modulus)]
+    assert gt.gf_irreducible_p(mod, p, ZZ)
+
+    def poly(x):
+        # highest degree first, as galoistools writes polynomials
+        return gt.gf_strip([ZZ(c) for c in reversed(x.coeffs)])
+
+    def mul(f, g):
+        return gt.gf_rem(gt.gf_mul(f, g, p, ZZ), mod, p, ZZ)
+
+    def power(f, e):
+        acc = [ZZ(1)]
+        for _ in range(e):
+            acc = mul(acc, f)
+        return acc
+
+    one = [ZZ(1)]
+    rng = random.Random(q)
+    special = [0, 1, p - 1, q - 1]
+    pairs = [(a, rng.randrange(q)) for a in special] + [(rng.randrange(q), b) for b in special]
+    pairs += [(rng.randrange(q), rng.randrange(q)) for _ in range(60)]
+    for a_code, b_code in pairs:
+        a, b = spec.from_int(a_code), spec.from_int(b_code)
+        fa, fb = poly(a), poly(b)
+        assert poly(a + b) == gt.gf_add(fa, fb, p, ZZ)
+        assert poly(a - b) == gt.gf_sub(fa, fb, p, ZZ)
+        assert poly(-a) == gt.gf_sub([], fa, p, ZZ)
+        assert poly(a * b) == mul(fa, fb)
+        if b_code:
+            assert mul(poly(a / b), fb) == fa
+            assert mul(poly(b.inv()), fb) == one
+        e = rng.randrange(1, 40)
+        assert poly(a ** e) == power(fa, e)
+        assert poly(a ** 0) == one
+        if a_code:
+            assert mul(poly(a ** -e), power(fa, e)) == one
+            assert poly(a ** (q - 1)) == one
+
+
+def test_kernel_is_built_on_first_arithmetic_only():
+    # construction, enumeration and code conversion stay table-free, so a
+    # field that is only enumerated never pays for its kernel
+    spec = make_field(3, 7)
+    assert len(spec.elements()) == 2187
+    assert spec.from_int(5).coeffs == (2, 1, 0, 0, 0, 0, 0)
+    assert spec._kernel is None
+    assert spec.one() + spec.one() == spec.from_int(2)
+    assert spec._kernel is not None

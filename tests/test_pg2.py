@@ -17,7 +17,7 @@ from galoisplane.errors import (
 )
 from galoisplane.gf import make_field
 from galoisplane import pg2
-from galoisplane.linalg import Mat
+from galoisplane.linalg import Mat, inverse3, mat_vec
 from galoisplane.pg2 import (
     Collineation,
     Plane,
@@ -25,11 +25,9 @@ from galoisplane.pg2 import (
     canonicalize,
     canonicalize_line,
     collinear,
-    compose,
     enumerate_plane,
     frame_transform,
     incident,
-    inverse,
     iter_points,
     join,
     line_span_points,
@@ -261,8 +259,8 @@ def test_collineation_identity_and_compose():
             u = Collineation(m)
         except Singular:
             continue
-        assert compose(u, inverse(u)).apply(p) == p
-        assert inverse(u).apply(u.apply(p)) == p
+        assert (u @ u.inverse()).apply(p) == p
+        assert u.inverse().apply(u.apply(p)) == p
 
 
 def test_collineation_rejects_singular():
@@ -327,6 +325,26 @@ def test_frame_transform_standard_frame():
         assert t.apply(b) == e2
         assert t.apply(c) == e3
         assert t.apply(d) == unit
+
+
+def test_frame_transform_matches_inverse_of_scaled_columns():
+    """One inverse3 plus a row rescale equals inverting [a|b|c] diag(lam)."""
+    for p, k in ((5, 1), (2, 3), (3, 2)):
+        spec = make_field(p, k)
+        pl = plane(spec)
+        rng = random.Random(100 + spec.q)
+        done = 0
+        while done < 20:
+            a, b, c, d = rng.sample(pl.points, 4)
+            if any(collinear(*t) for t in itertools.combinations((a, b, c, d), 3)):
+                continue
+            done += 1
+            m = Mat.from_rows(zip(a.coords, b.coords, c.coords))
+            lam = mat_vec(inverse3(m), d.coords)
+            scaled = Mat.from_rows(
+                [lam[j] * m.at(i, j) for j in range(3)] for i in range(3)
+            )
+            assert frame_transform(a, b, c, d).matrix == inverse3(scaled)
 
 
 def test_frame_transform_degenerate_rejected():

@@ -26,6 +26,7 @@ from galoisplane.linalg import Mat
 from galoisplane.pg2 import (
     Collineation,
     Plane,
+    ProjPoint,
     canonicalize,
     canonicalize_line,
     collinear,
@@ -235,6 +236,22 @@ def test_tangent_frame_guards():
         tangent_frame(oval5, (p, p, oval5.points[1]))
     with pytest.raises(PointsNotOnOval):
         tangent_frame(oval5, (_pt(spec5, 1, 0, 0),) + tuple(oval5.points[:2]))
+
+
+def test_noncanonical_base_point_is_on_the_oval():
+    # [2:2:2] is the point [1:1:1] of x^2 = yz over GF(5)
+    spec = make_field(5)
+    oval = _oval(spec)
+    unit = _pt(spec, 1, 1, 1)
+    two = spec.from_int(2)
+    scaled = ProjPoint((two, two, two))
+    assert unit in oval and scaled in oval
+    others = tuple(p for p in oval.points if p != unit)[:2]
+    frame = tangent_frame(oval, (scaled,) + others)
+    assert frame.base == (unit,) + others
+    assert frame.slopes == tangent_frame(oval, (unit,) + others).slopes
+    got = reconstruct_conic(oval, (scaled,) + others)[1].to_json()
+    assert got == reconstruct_conic(oval, (unit,) + others)[1].to_json()
 
 
 def test_lemma_closed_form_center():
