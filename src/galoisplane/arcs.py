@@ -4,7 +4,11 @@ An arc of size q+1 is an oval, size q+2 a hyperoval (even q only).  The
 search routine enumerates arcs of a requested size as bitmask index sets over
 the cached plane, extending only with indices above the last chosen one, so
 results come out in lexicographic order of index tuples and each arc is
-produced exactly once.
+produced exactly once.  A candidate's exclusions are read off per-point
+secant rows, built for each point when it is first chosen; a sibling loop
+ends as soon as too few candidates remain, and the last point of each arc is
+emitted straight from the candidate mask.  Plane index order is the
+`point_sort_key` order, so the found arcs need no sorting.
 """
 
 from __future__ import annotations
@@ -113,6 +117,13 @@ class Arc:
                 pts = tuple(pl.points[pl.index(p)] for p in pts)
         self.points = tuple(sorted(pts, key=point_sort_key))
 
+    @classmethod
+    def _from_sorted(cls, points: tuple) -> "Arc":
+        """An Arc of points already canonical, sorted and known to be an arc."""
+        arc = cls.__new__(cls)
+        arc.points = points
+        return arc
+
     @property
     def spec(self) -> FieldSpec:
         return self.points[0].spec
@@ -169,10 +180,18 @@ def search_maximal_arcs(spec: FieldSpec, target_size: int, limit=None,
                         *, max_order: int = SEARCH_MAX_ORDER) -> list:
     """All arcs of exactly target_size, as Arc objects, in index-lex order.
 
-    Exhaustive depth-first search over point indices with secant-line
-    exclusion masks; stops early once `limit` arcs are found.  The default
-    order cap keeps the exhaustive search affordable; raise `max_order`
-    explicitly for a larger field.
+    Exhaustive depth-first search over point indices; stops once `limit`
+    arcs are found, so a limited search returns a prefix of the complete
+    one.  A node holds the chosen points and the candidate mask of larger
+    indices that keep them an arc.  Choosing candidate j removes from the
+    remaining candidates every point on a secant through j, read off the
+    secant rows of the chosen points: row i maps each index k to the mask
+    of points off the line through i and k, and is built when i is first
+    chosen.  A sibling loop stops once fewer candidates remain than points
+    are needed, a child with too few candidates is never entered, and at
+    the last point every candidate completes an arc and is emitted
+    directly.  The default order cap keeps the exhaustive search
+    affordable; raise `max_order` explicitly for a larger field.
     """
     if spec.q > max_order:
         raise BoundExceeded(
@@ -185,36 +204,54 @@ def search_maximal_arcs(spec: FieldSpec, target_size: int, limit=None,
         raise Degenerate(f"limit must be positive when given, got {limit}")
 
     pl = plane(spec)
-    n = pl.n
-    line_masks = pl.line_masks
-    pair_line = pl.pair_line
+    n, points = pl.n, pl.points
+    line_masks, line_points, point_lines = pl.line_masks, pl.line_points, pl.point_lines
+    full = (1 << n) - 1
+    secant_rows = [None] * n
     results = []
-    chosen: list[int] = []
+    rows: list[list] = []   # secant rows of the chosen points
+    head: list = []         # the chosen points
 
-    def extend(cand: int) -> bool:
-        # cand holds only indices greater than the last chosen one
-        if len(chosen) == target_size:
-            results.append(tuple(chosen))
-            return limit is not None and len(results) >= limit
-        if len(chosen) + cand.bit_count() < target_size:
+    def secant_row(i: int) -> list:
+        row = secant_rows[i]
+        if row is None:
+            row = secant_rows[i] = [0] * n
+            for li in point_lines[i]:
+                off = full ^ line_masks[li]
+                for k in line_points[li]:
+                    row[k] = off
+        return row
+
+    def extend(cand: int, need: int) -> bool:
+        # cand: the indices above the last chosen one that extend the chosen
+        # points to a larger arc; need: how many more points the arc takes
+        if need == 1:
+            chosen = tuple(head)
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                results.append(Arc._from_sorted(chosen + (points[low.bit_length() - 1],)))
+                if len(results) == limit:
+                    return True
             return False
-        c = cand
-        while c:
-            low = c & -c
+        left = cand.bit_count()
+        while left >= need:
+            low = cand & -cand
             j = low.bit_length() - 1
-            c ^= low
-            nxt = c
-            for i in chosen:
-                nxt &= ~line_masks[pair_line(i, j)]
-            chosen.append(j)
-            stop = extend(nxt)
-            chosen.pop()
-            if stop:
-                return True
+            cand ^= low
+            left -= 1
+            nxt = cand
+            for row in rows:
+                nxt &= row[j]
+            if nxt.bit_count() >= need - 1:
+                rows.append(secant_row(j))
+                head.append(points[j])
+                stop = extend(nxt, need - 1)
+                head.pop()
+                rows.pop()
+                if stop:
+                    return True
         return False
 
-    extend((1 << n) - 1)
-    return [
-        Arc((pl.points[i] for i in idxs), _trusted=True)
-        for idxs in results
-    ]
+    extend(full, target_size)
+    return results

@@ -10,9 +10,9 @@ through the field's code order, then (0, 1, z), then (0, 0, 1); lines use the
 same triple order for their coefficient vectors.
 
 The Plane class caches the whole incidence structure (point and line lists,
-per-line point indices, per-point line indices, line bitmasks, a
-line-through-pair table) in integer-code space and counts incidences of point
-sets on it, so that search and verification loops run on plain ints.
+per-line point indices, per-point line indices, line bitmasks) in integer-code
+space and counts incidences of point sets on it, so that search and
+verification loops run on plain ints.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .gf import FieldElement, FieldSpec
 from .linalg import Mat, det3, inverse3, mat_vec, nullspace
 
 PLANE_MAX_ORDER = 128
-_DENSE_PAIR_MAX_ORDER = 31
 
 
 def _canonical_coords(v):
@@ -187,8 +186,7 @@ class Plane:
 
     __slots__ = (
         "spec", "n", "points", "lines", "point_index", "line_index",
-        "line_points", "point_lines", "line_masks",
-        "_pair", "_pair_dict", "_monomials",
+        "line_points", "point_lines", "line_masks", "_monomials",
     )
 
     def __init__(self, spec: FieldSpec):
@@ -240,22 +238,6 @@ class Plane:
         self.line_masks = tuple(
             sum(1 << pi for pi in pts) for pts in self.line_points
         )
-
-        if q <= _DENSE_PAIR_MAX_ORDER:
-            pair = [[-1] * self.n for _ in range(self.n)]
-            for li, pts in enumerate(self.line_points):
-                for ai in range(len(pts)):
-                    a = pts[ai]
-                    row_a = pair[a]
-                    for bi in range(ai + 1, len(pts)):
-                        b = pts[bi]
-                        row_a[b] = li
-                        pair[b][a] = li
-            self._pair = pair
-            self._pair_dict = None
-        else:
-            self._pair = None
-            self._pair_dict = {}
         self._monomials = None
 
     def index(self, p: ProjPoint) -> int:
@@ -297,14 +279,10 @@ class Plane:
 
     def pair_line(self, i: int, j: int) -> int:
         """Index of the unique line through points i and j (i != j)."""
-        if self._pair is not None:
-            return self._pair[i][j]
-        key = (i, j) if i < j else (j, i)
-        li = self._pair_dict.get(key)
-        if li is None:
-            li = self.line_index[join(self.points[i], self.points[j])]
-            self._pair_dict[key] = li
-        return li
+        if i == j:
+            raise EqualPoints(f"pair_line needs distinct points, got index {i} twice")
+        line_masks = self.line_masks
+        return next(li for li in self.point_lines[i] if line_masks[li] >> j & 1)
 
     def monomial_codes(self) -> tuple:
         """Per point, the integer codes of (x^2, y^2, z^2, xy, xz, yz)."""

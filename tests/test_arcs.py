@@ -265,3 +265,33 @@ def test_arc_text_and_equality():
     b = Arc(a.points)
     assert a == b and hash(a) == hash(b)
     assert a.to_text() == " ".join(p.to_text() for p in a.points)
+
+
+def _arc_indices_by_brute_force(pl, k):
+    # every k-subset of the plane in combinations order, kept if it is an arc
+    return [idx for idx in itertools.combinations(range(pl.n), k)
+            if is_arc([pl.points[i] for i in idx])[0]]
+
+
+def test_search_matches_brute_force_in_order():
+    for q in (2, 3, 4):
+        spec = _spec(q)
+        pl = plane(spec)
+        for size in range(1, q + 3):
+            expected = _arc_indices_by_brute_force(pl, size)
+            for limit in (None, 1, 7):
+                got = [tuple(pl.index(p) for p in a.points)
+                       for a in search_maximal_arcs(spec, size, limit)]
+                assert got == expected[:limit], (q, size, limit)
+
+
+def test_search_limit_is_a_prefix_of_plane_points_in_order():
+    spec = make_field(5)
+    pl = plane(spec)
+    complete = search_maximal_arcs(spec, 6)
+    assert len(complete) == 3100
+    for arc in complete:
+        assert all(pl.points[pl.index(p)] is p for p in arc.points)
+        assert list(arc.points) == sorted(arc.points, key=point_sort_key)
+    for k in (1, 2, 7, 100, 3099, 3100, 5000):
+        assert search_maximal_arcs(spec, 6, limit=k) == complete[:k], k

@@ -156,12 +156,13 @@ def test_plane_pair_line_agrees_with_join():
         i, j = rng.sample(range(n), 2)
         li = pl.pair_line(i, j)
         assert pl.lines[li] == join(pl.points[i], pl.points[j])
+    with pytest.raises(EqualPoints):
+        pl.pair_line(3, 3)
 
 
 def test_plane_pair_line_dict_fallback_agrees_with_join():
-    # above q = 31 the pair table is a lazily filled dict instead of a matrix
+    # the line is read off the first point's line masks, at any order
     pl = plane(make_field(2, 5))
-    assert pl._pair is None
     rng = random.Random(32)
     for _ in range(100):
         i, j = rng.sample(range(pl.n), 2)
