@@ -6,7 +6,12 @@ A conic is stored as its canonical coefficient tuple (a, b, c, d, e, f) for
 
 scaled so the first nonzero coefficient is 1 (proportional tuples cut out the
 same variety).  The monomial order (x^2, y^2, z^2, xy, xz, yz) is fixed and
-shared with the plane cache and the least-squares style fitting code.
+shared with the least-squares style fitting code.
+
+The variety is found row by row of the plane enumeration, not point by point:
+on each row (1, y, *), on (0, 1, *) and at (0, 0, 1) the form is a
+quadratic in z, solved from the plane's root tables, so a variety costs O(q)
+table lookups rather than q^2 + q + 1 evaluations.
 
 Non-degeneracy is judged two ways and the verdict is their conjunction:
 
@@ -127,19 +132,47 @@ def evaluate(conic: Conic, p: ProjPoint) -> FieldElement:
 
 
 def variety_of(conic: Conic) -> tuple:
-    """All plane points on the conic, in canonical enumeration order."""
+    """All plane points on the conic, in canonical enumeration order.
+
+    One quadratic per row of the enumeration: the points (1, y, z) satisfy
+    c*z^2 + (e + f*y)*z + (a + b*y^2 + d*y) = 0, the points (0, 1, z) satisfy
+    c*z^2 + f*z + b = 0, and (0, 0, 1) lies on the conic iff c = 0.  A row
+    whose three coefficients vanish holds all q of its points; a linear row
+    has one root.  For c2*z^2 + c1*z + c0 with c2 and c1 nonzero, the
+    substitution z = (c1/c2)*w gives w^2 + w = -c0*c2/c1^2, which the plane's
+    table of w^2 + w solves in every characteristic (Lidl & Niederreiter,
+    Finite Fields); with c1 = 0 the root is a square root, read off the
+    plane's square-root table.  Each row's roots are sorted, so the points
+    come out in plane order by index.
+    """
     spec = conic.spec
+    q = spec.q
     pl = plane(spec)
-    add, mul, _, _ = spec.op_tables()
-    coef = [x.to_int() for x in conic.coeffs]
+    add, mul, neg, inv = spec.op_tables()
+    square_roots, unit_roots = pl.square_roots, pl.unit_roots
+    a, b, c, d, e, f = (x.code for x in conic.coeffs)
+    all_z = range(q)
+
+    def roots(c2, c1, c0):
+        if c2 == 0:
+            if c1:
+                return (neg[mul[c0][inv[c1]]],)
+            return () if c0 else all_z
+        if c1 == 0:
+            return square_roots[neg[mul[c0][inv[c2]]]]
+        r = mul[c1][inv[c2]]
+        return sorted(mul[r][w] for w in unit_roots[neg[mul[mul[c0][c2]][inv[mul[c1][c1]]]]])
+
+    points = pl.points
     out = []
-    for i, mono in enumerate(pl.monomial_codes()):
-        acc = 0
-        for c, m in zip(coef, mono):
-            if c and m:
-                acc = add[acc][mul[c][m]]
-        if acc == 0:
-            out.append(pl.points[i])
+    for y in range(q):
+        base = y * q
+        c0 = add[add[a][mul[b][mul[y][y]]]][mul[d][y]]
+        out.extend(points[base + z] for z in roots(c, add[e][mul[f][y]], c0))
+    base = q * q
+    out.extend(points[base + z] for z in roots(c, f, b))
+    if c == 0:
+        out.append(points[base + q])
     return tuple(out)
 
 
@@ -216,10 +249,7 @@ def is_nondegenerate(conic: Conic) -> NondegeneracyReport:
     spec = conic.spec
     pl = plane(spec)
     pts = variety_of(conic)
-    counts = {
-        li: m.bit_count()
-        for li, m in pl.line_hits([pl.index(p) for p in pts]).items()
-    }
+    counts = pl.line_counts([pl.index(p) for p in pts])
     max_on_line = max(counts.values(), default=0)
     line_witness = None
     if max_on_line >= 3:

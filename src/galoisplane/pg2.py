@@ -12,12 +12,20 @@ same triple order for their coefficient vectors.
 The Plane class caches the whole incidence structure (point and line lists,
 per-line point indices, per-point line indices, line bitmasks) in integer-code
 space and counts incidences of point sets on it, so that search and
-verification loops run on plain ints.
+verification loops run on plain ints: `line_hits` gives per line the
+positions of the points it holds, `line_counts` only how many (one Counter
+over the lines through the points, so the counting runs in C).  It also holds
+two root tables of q entries each, built in O(q) from the field's operation
+tables: per code s, the ascending codes w with w*w = s (`square_roots`) and
+with w*w + w = s (`unit_roots`).  Together they solve any quadratic over the
+field, in every characteristic (see `conic.variety_of`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import (
     BoundExceeded,
@@ -186,7 +194,7 @@ class Plane:
 
     __slots__ = (
         "spec", "n", "points", "lines", "point_index", "line_index",
-        "line_points", "point_lines", "line_masks", "_monomials",
+        "line_points", "point_lines", "line_masks", "square_roots", "unit_roots",
     )
 
     def __init__(self, spec: FieldSpec):
@@ -238,7 +246,16 @@ class Plane:
         self.line_masks = tuple(
             sum(1 << pi for pi in pts) for pts in self.line_points
         )
-        self._monomials = None
+
+        # Per code s, the ascending codes w with w*w = s and with w*w + w = s.
+        square_roots = [[] for _ in range(q)]
+        unit_roots = [[] for _ in range(q)]
+        for w in range(q):
+            w2 = mul[w][w]
+            square_roots[w2].append(w)
+            unit_roots[add[w2][w]].append(w)
+        self.square_roots = tuple(map(tuple, square_roots))
+        self.unit_roots = tuple(map(tuple, unit_roots))
 
     def index(self, p: ProjPoint) -> int:
         """Index of a point, looked up by its canonical form if p is not canonical."""
@@ -270,6 +287,11 @@ class Plane:
                 hits[li] = hits.get(li, 0) | bit
         return hits
 
+    def line_counts(self, indices) -> Counter:
+        """Per line through any of the given point indices, how many of them it holds."""
+        point_lines = self.point_lines
+        return Counter(chain.from_iterable(point_lines[i] for i in indices))
+
     def tangents(self, i: int, mask: int) -> list:
         """The lines through point i that meet the point bitmask nowhere else."""
         others = mask & ~(1 << i)
@@ -283,18 +305,6 @@ class Plane:
             raise EqualPoints(f"pair_line needs distinct points, got index {i} twice")
         line_masks = self.line_masks
         return next(li for li in self.point_lines[i] if line_masks[li] >> j & 1)
-
-    def monomial_codes(self) -> tuple:
-        """Per point, the integer codes of (x^2, y^2, z^2, xy, xz, yz)."""
-        if self._monomials is None:
-            mul = self.spec.op_tables()[1]
-            out = []
-            for p in self.points:
-                x, y, z = (c.to_int() for c in p.coords)
-                out.append((mul[x][x], mul[y][y], mul[z][z],
-                            mul[x][y], mul[x][z], mul[y][z]))
-            self._monomials = tuple(out)
-        return self._monomials
 
 
 _plane_cache: dict[FieldSpec, Plane] = {}
@@ -407,6 +417,15 @@ class Collineation:
         self._inv_t = None
 
     @classmethod
+    def _trusted(cls, matrix: Mat) -> "Collineation":
+        """A Collineation of a 3x3 matrix known to be invertible; no det3 check."""
+        t = cls.__new__(cls)
+        t.matrix = matrix
+        t._inv = None
+        t._inv_t = None
+        return t
+
+    @classmethod
     def identity(cls, spec: FieldSpec) -> "Collineation":
         return cls(Mat.identity(spec, 3))
 
@@ -416,7 +435,7 @@ class Collineation:
 
     def inverse(self) -> "Collineation":
         if self._inv is None:
-            self._inv = Collineation(inverse3(self.matrix))
+            self._inv = Collineation._trusted(inverse3(self.matrix))
             self._inv._inv = self
         return self._inv
 
@@ -431,7 +450,7 @@ class Collineation:
     def __matmul__(self, other: "Collineation") -> "Collineation":
         if not isinstance(other, Collineation):
             return NotImplemented
-        return Collineation(self.matrix @ other.matrix)
+        return Collineation._trusted(self.matrix @ other.matrix)
 
     def __repr__(self):
         return f"Collineation({self.matrix!r})"
@@ -457,7 +476,7 @@ def frame_transform(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint) -> C
     if any(x.is_zero() for x in lam):
         raise DegenerateFrame("fourth frame point lies on a side of the base triangle")
     # (m diag(lam))^-1 = diag(lam)^-1 m^-1: row i of m_inv scaled by 1/lam_i
-    return Collineation(Mat.from_rows(
+    return Collineation._trusted(Mat.from_rows(
         [x / lam[i] for x in m_inv.row(i)] for i in range(3)
     ))
 

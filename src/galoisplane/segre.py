@@ -497,14 +497,23 @@ def reconstruct_conic(oval: Arc, base=None) -> tuple:
 
     all_points_ok = all(conic.evaluate(p).is_zero() for p in oval.points)
 
-    identities_ok = True
-    base_set = set(norm.base)
+    # the tangents are the lines holding exactly one oval point
     pl = plane(spec)
     oval_mask = pl.mask(oval.points)
-    for p in oval.points:
+    indices = [pl.index(p) for p in oval.points]
+    line_masks = pl.line_masks
+    tangent_of = {
+        (line_masks[li] & oval_mask).bit_length() - 1: li
+        for li, k in pl.line_counts(indices).items()
+        if k == 1
+    }
+
+    identities_ok = True
+    base_set = set(norm.base)
+    for p, i in zip(oval.points, indices):
         if p in base_set:
             continue
-        tangent = pl.tangents(pl.index(p), oval_mask)[0]
+        tangent = pl.lines[tangent_of[i]]
         c = t.apply(p).coords
         b = t.apply_line(tangent).coeffs
         lhs_rhs = (

@@ -224,8 +224,9 @@ def test_console_script_entry():
 def test_golden_output(case):
     """Exit code, stdout and stderr of every README example, the q=5
     certificate, a degenerate variety, three rejected inputs, five
-    extension-field runs and three more arc searches, byte for byte as
-    recorded in tests/golden/ (a missing .err file means no stderr)."""
+    extension-field runs, three more arc searches and three varieties over
+    GF(121), GF(128) and GF(32), byte for byte as recorded in tests/golden/
+    (a missing .err file means no stderr)."""
     code, out, err = _run_text(*case["argv"])
     assert code == case["exit"]
     assert out == (GOLDEN / f"{case['name']}.out").read_bytes().decode("utf-8")

@@ -107,6 +107,87 @@ def test_variety_enumeration_order_canonical():
     assert variety_of(c) == var
 
 
+_ORDERS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3),
+           9: (3, 2), 16: (2, 4), 25: (5, 2), 27: (3, 3), 32: (2, 5),
+           121: (11, 2), 125: (5, 3), 128: (2, 7)}
+
+
+def _evaluated_variety(c):
+    """Reference: the plane points where the form vanishes, in plane order."""
+    return tuple(p for p in plane(c.spec).points if c.evaluate(p).is_zero())
+
+
+def _random_conic(spec, rng):
+    while True:
+        coeffs = [rng.randrange(spec.q) for _ in range(6)]
+        if any(coeffs):
+            return Conic(tuple(spec.from_int(v) for v in coeffs))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 121, 128])
+def test_variety_matches_evaluation_at_every_point(q):
+    spec = make_field(*_ORDERS[q])
+    rng = random.Random(1000 + q)
+    for _ in range(3 if q > 100 else 25):
+        c = _random_conic(spec, rng)
+        assert variety_of(c) == _evaluated_variety(c), c
+
+
+def test_variety_row_branches_match_evaluation():
+    # each monomial alone, x^2 + y^2 with -1 a non-square (one point, q=7)
+    # and x^2 + y^2 = (x + y)^2 in characteristic 2 (a double line, q=8)
+    for q in (7, 8, 9):
+        spec = make_field(*_ORDERS[q])
+        for i in range(6):
+            c = _conic(spec, *(int(j == i) for j in range(6)))
+            assert variety_of(c) == _evaluated_variety(c), (q, c)
+    single = _conic(make_field(7), 1, 1, 0, 0, 0, 0)
+    assert [p.to_text() for p in variety_of(single)] == ["[0:0:1]"]
+    double = _conic(make_field(2, 3), 1, 1, 0, 0, 0, 0)
+    assert variety_of(double) == _evaluated_variety(double)
+    assert len(variety_of(double)) == 9
+
+
+def _half_discriminant(c):
+    """4abc + def - af^2 - be^2 - cd^2: zero iff the conic is degenerate."""
+    a, b, cc, d, e, f = c.coeffs
+    abc = a * b * cc
+    return abc + abc + abc + abc + d * e * f - a * f * f - b * e * e - cc * d * d
+
+
+def _degenerate_conic(spec, rng):
+    """A random conic with the z^2 coefficient solved for a zero discriminant."""
+    while True:
+        a, b, _, d, e, f = _random_conic(spec, rng).coeffs
+        rest = d * e * f - a * f * f - b * e * e
+        ab = a * b
+        slope = ab + ab + ab + ab - d * d
+        if not slope.is_zero():
+            return Conic((a, b, -rest / slope, d, e, f))
+
+
+@pytest.mark.parametrize("q", [121, 125, 128])
+def test_nondegeneracy_matches_discriminant_at_large_q(q):
+    # half the conics random, half solved onto the degenerate locus
+    spec = make_field(*_ORDERS[q])
+    rng = random.Random(2000 + q)
+    seen = set()
+    for i in range(40):
+        c = _degenerate_conic(spec, rng) if i % 2 else _random_conic(spec, rng)
+        report = is_nondegenerate(c)
+        if _half_discriminant(c).is_zero():
+            # only a lone point (two conjugate lines) passes, in characteristic 2
+            lone = report.variety_size == 1
+            assert report.verdict is (spec.p == 2 and lone), c
+            seen.add("single point" if lone else "lines")
+        else:
+            assert report.verdict is True, c
+            assert report.variety_size == q + 1, c
+            assert report.max_points_on_a_line == 2, c
+            seen.add("non-degenerate")
+    assert seen == {"single point", "lines", "non-degenerate"}
+
+
 def test_variety_size_nondegenerate_sampled():
     rng = random.Random(4)
     for p, k in ((5, 1), (7, 1), (3, 2)):

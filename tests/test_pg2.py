@@ -189,6 +189,28 @@ def test_plane_line_masks():
         assert {i for i in range(13) if mask >> i & 1} == set(pl.line_points[li])
 
 
+def test_plane_line_counts_match_line_hits():
+    rng = random.Random(12)
+    for p, k in ((2, 1), (3, 1), (2, 3), (5, 1)):
+        spec = make_field(p, k)
+        pl = plane(spec)
+        for size in (0, 1, 3, 7):
+            indices = rng.sample(range(pl.n), size)
+            hits = pl.line_hits(indices)
+            assert pl.line_counts(indices) == {li: m.bit_count() for li, m in hits.items()}
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (7, 1), (3, 2), (2, 3)])
+def test_plane_root_tables(p, k):
+    spec = make_field(p, k)
+    pl = plane(spec)
+    add, mul, _, _ = spec.op_tables()
+    for s in range(spec.q):
+        assert pl.square_roots[s] == tuple(w for w in range(spec.q) if mul[w][w] == s)
+        assert pl.unit_roots[s] == tuple(
+            w for w in range(spec.q) if add[mul[w][w]][w] == s)
+
+
 def test_plane_bound():
     with pytest.raises(BoundExceeded):
         plane(make_field(131))
@@ -270,6 +292,29 @@ def test_collineation_rejects_singular():
     m = Mat(spec, 3, 3, tuple([z] * 9))
     with pytest.raises(Singular):
         Collineation(m)
+    rank_two = Mat(spec, 3, 3, _e(spec, 1, 2, 3, 2, 4, 1, 0, 1, 1))
+    with pytest.raises(Singular):
+        Collineation(rank_two)
+
+
+def test_collineation_builds_invertible_results_without_det3(monkeypatch):
+    # inverses, products and frame transforms are invertible by construction;
+    # only the public constructor checks the determinant
+    spec = make_field(7)
+    t = Collineation(Mat(spec, 3, 3, _e(spec, 1, 2, 0, 0, 1, 3, 4, 0, 1)))
+    u = Collineation(Mat(spec, 3, 3, _e(spec, 2, 0, 1, 1, 1, 0, 0, 4, 1)))
+    pts = [canonicalize(_e(spec, *v)) for v in ((1, 0, 2), (0, 1, 3), (1, 1, 0), (1, 0, 0))]
+    calls = []
+    original = pg2.det3
+    monkeypatch.setattr(pg2, "det3", lambda m: calls.append(m) or original(m))
+    p = pts[0]
+    assert t.inverse().apply(t.apply(p)) == p
+    assert (t @ u).apply(p) == t.apply(u.apply(p))
+    frame = frame_transform(*pts)
+    assert frame.apply(pts[3]) == canonicalize(_e(spec, 1, 1, 1))
+    assert calls == []
+    Collineation(t.matrix)
+    assert len(calls) == 1
 
 
 def test_collineation_preserves_incidence():
