@@ -14,7 +14,7 @@ import random
 import sys
 
 from .arcs import Arc, search_maximal_arcs
-from .conic import combinatorial_tangents, parse_conic
+from .conic import parse_conic
 from .errors import BoundExceeded, GuardedInputError, InternalCheckFailed
 from .gf import parse_field
 from .pg2 import ProjPoint, canonicalize, parse_point, plane, verify_axioms
@@ -89,10 +89,14 @@ def _cmd_conic_variety(args) -> int:
     conic = parse_conic(spec, args.conic)
     pts = conic.variety()
     report = conic.nondegeneracy()
-    tangents = []
-    for p in pts:
-        tl = combinatorial_tangents(conic, p)
-        tangents.append([l.to_text() for l in tl])
+    # a point's tangents are the lines through it that hold no other point
+    pl = plane(spec)
+    indices = [pl.index(p) for p in pts]
+    counts = pl.line_counts(indices)
+    tangents = [
+        [pl.lines[li].to_text() for li in pl.point_lines[i] if counts[li] == 1]
+        for i in indices
+    ]
     payload = {
         "field": spec.to_text(),
         "conic": conic.to_ints(),

@@ -19,7 +19,8 @@ Non-degeneracy is judged two ways and the verdict is their conjunction:
     points (3 points on a line force the whole line into the variety, since a
     quadratic on a line with 3 roots vanishes identically);
   * differential (odd characteristic only): the gradient vanishes nowhere on
-    the variety.
+    the variety.  Like the variety, the scan runs on integer codes with the
+    field's op tables, so it too costs O(q) lookups.
 
 The two criteria disagree exactly on single-point varieties, where the
 combinatorial test has nothing to object to but the gradient dies at the
@@ -244,7 +245,9 @@ def is_nondegenerate(conic: Conic) -> NondegeneracyReport:
 
     The plane's per-line counts of the variety points give the maximum
     number on any line; `line_witness` is the lowest-index line holding that
-    many, when it is 3 or more.
+    many, when it is 3 or more.  The gradient is evaluated at each variety
+    point on the field's op-table codes; `gradient_witness` is the first
+    point, in plane order, where it vanishes.
     """
     spec = conic.spec
     pl = plane(spec)
@@ -261,9 +264,19 @@ def is_nondegenerate(conic: Conic) -> NondegeneracyReport:
     if spec.p == 2:
         gradient_ok = None
     else:
+        # `gradient` on codes: (2a*x + d*y + e*z, d*x + 2b*y + f*z, e*x + f*y + 2c*z)
+        add, mul, _, _ = spec.op_tables()
+        a, b, c, d, e, f = (x.code for x in conic.coeffs)
+        r2a, r2b, r2c = mul[add[a][a]], mul[add[b][b]], mul[add[c][c]]
+        rd, re, rf = mul[d], mul[e], mul[f]
         gradient_ok = True
         for p in pts:
-            if all(x.is_zero() for x in gradient(conic, p)):
+            x, y, z = (t.code for t in p.coords)
+            if not (
+                add[add[r2a[x]][rd[y]]][re[z]]
+                or add[add[rd[x]][r2b[y]]][rf[z]]
+                or add[add[re[x]][rf[y]]][r2c[z]]
+            ):
                 gradient_ok = False
                 gradient_witness = p
                 break

@@ -130,7 +130,15 @@ class SegreRelationViolated(InternalCheckFailed):
 
 
 class VerificationFailed(InternalCheckFailed):
-    """A reconstruction cross-check (containment, identities, oracle) failed."""
+    """A reconstruction cross-check (containment, identities, oracle) failed.
+
+    `certificate` is the certificate built before the check failed, or None
+    where the failing check builds none.
+    """
+
+    def __init__(self, *args, certificate=None):
+        super().__init__(*args)
+        self.certificate = certificate
 
 
 # conic fitting

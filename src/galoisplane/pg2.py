@@ -481,6 +481,27 @@ def frame_transform(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint) -> C
     ))
 
 
+def _code_map(m: Mat):
+    """The map (x, y, z) -> m @ (x, y, z) on integer codes, via the op tables.
+
+    The image is not scaled to canonical form, so callers use it only where
+    the result is unchanged by a nonzero scalar: coordinate ratios, and
+    identities homogeneous in the point.  Raises BoundExceeded above the
+    op-table cap (q = 512).
+    """
+    add, mul, _, _ = m.spec.op_tables()
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = (mul[x.code] for x in m.entries)
+
+    def image(x: int, y: int, z: int) -> tuple:
+        return (
+            add[add[r00[x]][r01[y]]][r02[z]],
+            add[add[r10[x]][r11[y]]][r12[z]],
+            add[add[r20[x]][r21[y]]][r22[z]],
+        )
+
+    return image
+
+
 def line_span_points(l: ProjLine) -> list[ProjPoint]:
     """The q+1 points of a line, by explicit parametrization of its span."""
     spec = l.spec

@@ -19,6 +19,13 @@ base points, and the lemma of tangents says k1*k2*k3 = -1.
 Rescaling by diag(1, -k3, k1*k3) moves all three tangent slopes to -1, which
 pins the conic through the oval down to x1*x2 + x2*x3 + x3*x1 in the rescaled
 frame; pulling that back gives the conic in original coordinates.
+
+The loops over the oval's points run on the field's integer codes, not on
+field elements: each point is mapped through the frame matrix's codes with
+the op tables, and its image is never scaled to canonical form.  The slopes
+are ratios of its coordinates, and the containment check and the tangent
+cross identities are homogeneous in the point (and in its tangent), so a
+nonzero scalar changes none of them.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from .conic import Conic, is_nondegenerate, transform_conic
 from .errors import (
     Degenerate,
     DegenerateTriangle,
+    DivisionByZero,
     EqualPoints,
     EvenOrder,
     Inconsistent,
@@ -52,6 +60,7 @@ from .pg2 import (
     Collineation,
     ProjLine,
     ProjPoint,
+    _code_map,
     canonicalize,
     canonicalize_line,
     collinear,
@@ -213,7 +222,12 @@ def tangent_frame(oval: Arc, base) -> TangentFrame:
     """Map a base triple of oval points to the frame and extract tangent slopes.
 
     The missing slope in each base-point pencil is the tangent slope there;
-    the product of the three is checked to be -1.
+    the product of the three is checked to be -1.  The frame images and
+    their slopes are computed on the field's op-table codes, so this needs
+    q <= 512 (BoundExceeded above); every oval built on the plane has
+    q <= 128, so only a trusted `Arc` can get there.  A non-base point on a
+    side of the base triangle (possible only for a trusted `Arc` that is no
+    arc) has a zero frame coordinate and raises DivisionByZero.
     """
     spec = oval.spec
     q = spec.q
@@ -228,20 +242,26 @@ def tangent_frame(oval: Arc, base) -> TangentFrame:
         if b not in oval.points:
             raise PointsNotOnOval(f"base point {b.to_text()} is not on the oval")
 
+    _, mul, neg, inv = spec.op_tables()
+
     rest = [p for p in oval.points if p not in base]
     t0 = frame_transform(base[0], base[1], base[2], rest[0])
-    rest_frame = [t0.apply(p) for p in rest]
+    image = _code_map(t0.matrix)
 
+    # the slopes are ratios of coordinates, so the images need no scaling
     seen1, seen2, seen3 = set(), set(), set()
-    for p in rest_frame:
-        c1, c2, c3 = p.coords
-        # off the triangle sides, so all coordinates are nonzero
-        seen1.add(c2 * c3.inv())
-        seen2.add(c3 * c1.inv())
-        seen3.add(c1 * c2.inv())
+    for p in rest:
+        x, y, z = p.coords
+        c1, c2, c3 = image(x.code, y.code, z.code)
+        if not (c1 and c2 and c3):
+            # a point on a side of the base triangle: the oval is no arc
+            raise DivisionByZero(f"inverse of zero in GF({q})")
+        seen1.add(mul[c2][inv[c3]])
+        seen2.add(mul[c3][inv[c1]])
+        seen3.add(mul[c1][inv[c2]])
 
     slopes = []
-    nonzero = set(spec.elements()[1:])
+    nonzero = set(range(1, q))
     for seen in (seen1, seen2, seen3):
         missing = nonzero - seen
         if len(missing) != 1:
@@ -249,20 +269,17 @@ def tangent_frame(oval: Arc, base) -> TangentFrame:
                 f"expected one free slope per pencil, got {len(missing)}"
             )
         slopes.append(missing.pop())
-    k1, k2, k3 = slopes
-
-    minus_one = -spec.one()
-    if k1 * k2 * k3 != minus_one:
-        raise SegreRelationViolated(
-            f"slope product {(k1 * k2 * k3).to_int()} is not -1"
-        )
+    product = mul[mul[slopes[0]][slopes[1]]][slopes[2]]
+    if product != neg[1]:
+        raise SegreRelationViolated(f"slope product {product} is not -1")
+    slopes = tuple(spec.from_int(k) for k in slopes)
 
     t0_inv = t0.inverse()
     tangents = tuple(
         t0_inv.apply_line(_pencil_line(spec, i + 1, slopes[i])) for i in range(3)
     )
     return TangentFrame(
-        oval=oval, base=base, transform=t0, slopes=(k1, k2, k3), tangents=tangents
+        oval=oval, base=base, transform=t0, slopes=slopes, tangents=tangents
     )
 
 
@@ -477,7 +494,9 @@ def reconstruct_conic(oval: Arc, base=None) -> tuple:
     conic back through the normalized frame transform; it is verified to
     contain every oval point, to satisfy the tangent cross identities at
     every non-base point, and to coincide with an independently fitted
-    conic.
+    conic.  Both per-point checks run on the field's op-table codes.  When a
+    check fails, the VerificationFailed raised carries the certificate built
+    so far as its `certificate`.
     """
     spec = oval.spec
     q = spec.q
@@ -495,7 +514,17 @@ def reconstruct_conic(oval: Arc, base=None) -> tuple:
     g = frame_conic(spec)
     conic = transform_conic(t.inverse(), g)
 
-    all_points_ok = all(conic.evaluate(p).is_zero() for p in oval.points)
+    # the form, on codes, as x*(a*x + d*y + e*z) + y*(b*y + f*z) + z*(c*z)
+    add, mul, _, _ = spec.op_tables()
+    ra, rb, rc, rd, re, rf = (mul[x.code] for x in conic.coeffs)
+    codes = [tuple(x.code for x in p.coords) for p in oval.points]
+    all_points_ok = True
+    for x, y, z in codes:
+        hx = add[add[ra[x]][rd[y]]][re[z]]
+        hy = add[rb[y]][rf[z]]
+        if add[add[mul[x][hx]][mul[y][hy]]][mul[z][rc[z]]]:
+            all_points_ok = False
+            break
 
     # the tangents are the lines holding exactly one oval point
     pl = plane(spec)
@@ -508,20 +537,25 @@ def reconstruct_conic(oval: Arc, base=None) -> tuple:
         if k == 1
     }
 
+    # Each identity is bilinear in the point c and its tangent b, so scaling
+    # either image by a nonzero factor scales both sides alike: the images
+    # need no canonical form.
+    image = _code_map(t.matrix)
+    line_image = _code_map(t.inverse().matrix.transpose())
     identities_ok = True
     base_set = set(norm.base)
-    for p, i in zip(oval.points, indices):
+    for p, i, (x, y, z) in zip(oval.points, indices, codes):
         if p in base_set:
             continue
-        tangent = pl.lines[tangent_of[i]]
-        c = t.apply(p).coords
-        b = t.apply_line(tangent).coeffs
-        lhs_rhs = (
-            (b[2] * (c[0] + c[2]), b[1] * (c[0] + c[1])),
-            (b[2] * (c[1] + c[2]), b[0] * (c[0] + c[1])),
-            (b[0] * (c[0] + c[2]), b[1] * (c[1] + c[2])),
-        )
-        if any(l != r for l, r in lhs_rhs):
+        c0, c1, c2 = image(x, y, z)
+        u, v, w = pl.lines[tangent_of[i]].coeffs
+        b0, b1, b2 = line_image(u.code, v.code, w.code)
+        s01, s02, s12 = add[c0][c1], add[c0][c2], add[c1][c2]
+        if (
+            mul[b2][s02] != mul[b1][s01]
+            or mul[b2][s12] != mul[b0][s01]
+            or mul[b0][s02] != mul[b1][s12]
+        ):
             identities_ok = False
             break
 
@@ -545,11 +579,13 @@ def reconstruct_conic(oval: Arc, base=None) -> tuple:
     )
 
     if not all_points_ok:
-        raise VerificationFailed("reconstructed conic misses an oval point")
-    if not identities_ok:
-        raise VerificationFailed("a tangent cross identity fails")
-    if conic != oracle:
-        raise VerificationFailed("reconstructed conic disagrees with the fit oracle")
-    if not is_nondegenerate(conic).verdict:
-        raise VerificationFailed("reconstructed conic is degenerate")
-    return conic, cert
+        failure = "reconstructed conic misses an oval point"
+    elif not identities_ok:
+        failure = "a tangent cross identity fails"
+    elif conic != oracle:
+        failure = "reconstructed conic disagrees with the fit oracle"
+    elif not is_nondegenerate(conic).verdict:
+        failure = "reconstructed conic is degenerate"
+    else:
+        return conic, cert
+    raise VerificationFailed(failure, certificate=cert)

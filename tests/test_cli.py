@@ -217,6 +217,29 @@ def test_console_script_entry():
     assert "plane" in proc.stdout and "segre" in proc.stdout
 
 
+@pytest.mark.parametrize("field, conic", [
+    ("q=7", "[1:0:0:0:0:-1]"),    # non-degenerate: one tangent per point
+    ("q=7", "[0:0:0:1:0:0]"),     # line pair xy
+    ("q=7", "[1:1:0:0:0:0]"),     # x^2 + y^2: the single point [0:0:1]
+    ("q=8", "[1:1:0:0:0:0]"),     # (x + y)^2: a double line
+    ("q=9", "[1:0:0:0:0:1]"),
+])
+def test_conic_variety_tangents_match_combinatorial_tangents(field, conic):
+    """The CLI lists each point's tangents from one line count over the
+    variety; they are `combinatorial_tangents` of that point, in the same
+    order."""
+    from galoisplane.conic import combinatorial_tangents, parse_conic
+    from galoisplane.gf import parse_field
+
+    c = parse_conic(parse_field(field), conic)
+    code, out, _ = _run_text("conic", "variety", "--field", field,
+                             "--conic", conic, "--format", "json")
+    assert code == 0
+    got = json.loads(out)["tangents"]
+    assert got == [[l.to_text() for l in combinatorial_tangents(c, p)]
+                   for p in c.variety()]
+
+
 @pytest.mark.parametrize(
     "case", json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8")),
     ids=lambda case: case["name"],
@@ -224,9 +247,11 @@ def test_console_script_entry():
 def test_golden_output(case):
     """Exit code, stdout and stderr of every README example, the q=5
     certificate, a degenerate variety, three rejected inputs, five
-    extension-field runs, three more arc searches and three varieties over
-    GF(121), GF(128) and GF(32), byte for byte as recorded in tests/golden/
-    (a missing .err file means no stderr)."""
+    extension-field runs, three more arc searches, three varieties over
+    GF(121), GF(128) and GF(32), a sampled `segre verify` over GF(121)
+    (3 samples, seed 4) and a JSON `segre reconstruct` at q=7 with the
+    explicit base 6,1,3, byte for byte as recorded in tests/golden/ (a
+    missing .err file means no stderr)."""
     code, out, err = _run_text(*case["argv"])
     assert code == case["exit"]
     assert out == (GOLDEN / f"{case['name']}.out").read_bytes().decode("utf-8")

@@ -460,3 +460,35 @@ def test_transform_preserves_nondegeneracy():
     c = _conic(spec, 1, 0, 0, 0, 0, -1)
     t = Collineation.diagonal(tuple(spec.from_int(v) for v in (1, 2, 3)))
     assert is_nondegenerate(transform_conic(t, c)).verdict
+
+
+def test_gradient_scan_matches_gradient():
+    """`is_nondegenerate` scans the gradient on codes; its verdict and
+    witness agree with `gradient` evaluated point by point, on products of
+    two linear forms (line pairs and double lines, whose gradient vanishes
+    somewhere) and on seeded random conics, over prime and extension fields."""
+    rng = random.Random(47)
+    seen = set()
+    for p, k in ((3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (11, 2)):
+        spec = make_field(p, k)
+        q = spec.q
+        for trial in range(16):
+            if trial % 2:
+                ints = [rng.randrange(q) for _ in range(6)]
+            else:
+                u = [spec.from_int(rng.randrange(q)) for _ in range(3)]
+                v = [spec.from_int(rng.randrange(q)) for _ in range(3)]
+                prod = (u[0] * v[0], u[1] * v[1], u[2] * v[2],
+                        u[0] * v[1] + u[1] * v[0], u[0] * v[2] + u[2] * v[0],
+                        u[1] * v[2] + u[2] * v[1])
+                ints = [x.to_int() for x in prod]
+            if not any(ints):
+                continue
+            c = _conic(spec, *ints)
+            expected = next((pt for pt in c.variety()
+                             if all(g.is_zero() for g in gradient(c, pt))), None)
+            report = is_nondegenerate(c)
+            assert report.gradient_ok is (expected is None), (q, ints)
+            assert report.gradient_witness == expected, (q, ints)
+            seen.add(report.gradient_ok)
+    assert seen == {True, False}

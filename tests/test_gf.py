@@ -1,5 +1,6 @@
 """Finite field construction and arithmetic."""
 
+import itertools
 import random
 
 import pytest
@@ -229,6 +230,36 @@ def test_arithmetic_against_sympy_galoistools(p, k, modulus):
         if a_code:
             assert mul(poly(a ** -e), power(fa, e)) == one
             assert poly(a ** (q - 1)) == one
+
+
+
+_DEFAULT_MODULUS_FIELDS = sorted({(p, k) for p, k, _ in _ORACLE_FIELDS})
+
+
+@pytest.mark.parametrize("p, k", _DEFAULT_MODULUS_FIELDS,
+                         ids=[f"{p}^{k}" for p, k in _DEFAULT_MODULUS_FIELDS])
+def test_default_modulus_is_the_lex_least_irreducible(p, k):
+    """Every monic candidate lex-smaller than the default modulus (tails
+    compared constant term first) is reducible by sympy's galoistools, and
+    the default modulus itself is irreducible."""
+    gt = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    def irreducible(coeffs):
+        # galoistools writes polynomials highest degree first
+        return gt.gf_irreducible_p([ZZ(c) for c in reversed(coeffs)], p, ZZ)
+
+    modulus = make_field(p, k).modulus
+    assert len(modulus) == k + 1 and modulus[-1] == 1
+    assert irreducible(modulus)
+    tail = modulus[:-1]
+    smaller = 0
+    for cand in itertools.product(range(p), repeat=k):
+        if cand >= tail:
+            break
+        assert not irreducible(cand + (1,)), cand
+        smaller += 1
+    assert smaller == sum(c * p ** (k - 1 - i) for i, c in enumerate(tail))
 
 
 def test_kernel_is_built_on_first_arithmetic_only():

@@ -9,8 +9,11 @@ import pytest
 
 from galoisplane.arcs import Arc, is_arc, search_maximal_arcs
 from galoisplane.conic import is_nondegenerate, parse_conic
+from galoisplane import segre
 from galoisplane.errors import (
+    BoundExceeded,
     DegenerateTriangle,
+    DivisionByZero,
     EqualPoints,
     EvenOrder,
     Inconsistent,
@@ -20,8 +23,9 @@ from galoisplane.errors import (
     PointsNotOnOval,
     SharedSide,
     UnderDetermined,
+    VerificationFailed,
 )
-from galoisplane.gf import make_field
+from galoisplane.gf import FieldElement, make_field
 from galoisplane.linalg import Mat
 from galoisplane.pg2 import (
     Collineation,
@@ -36,6 +40,7 @@ from galoisplane.pg2 import (
     parse_point,
 )
 from galoisplane.segre import (
+    Certificate,
     desargues_axis,
     fit_conic_nullspace,
     frame_conic,
@@ -466,3 +471,85 @@ def test_reconstruct_builds_the_oval_mask_once(monkeypatch):
     spec = make_field(13)
     reconstruct_conic(Arc(parse_conic(spec, "[1:0:0:0:0:-1]").variety()))
     assert sizes == [14]
+
+
+def test_tangent_frame_point_on_a_base_side_raises_division_by_zero():
+    # A trusted 6-point non-arc at q=5: base [1:2:3], [0:1:0], [0:0:1]; the
+    # first non-base point [1:0:0] completes the frame, and the second,
+    # [1:2:0], lies on the side y = 2x through [1:2:3] and [0:0:1], so one
+    # of its frame coordinates is zero.
+    spec = make_field(5)
+    pts = [_pt(spec, *v) for v in
+           ((1, 0, 0), (1, 2, 0), (1, 2, 3), (1, 3, 2), (0, 1, 0), (0, 0, 1))]
+    oval = Arc(pts, _trusted=True)
+    base = (_pt(spec, 1, 2, 3), _pt(spec, 0, 1, 0), _pt(spec, 0, 0, 1))
+    assert [p.to_text() for p in oval.points if p not in base][:2] == \
+        ["[1:0:0]", "[1:2:0]"]
+    with pytest.raises(DivisionByZero, match="inverse of zero in GF\\(5\\)"):
+        tangent_frame(oval, base)
+
+
+def test_tangent_frame_above_the_op_table_cap_raises_bound_exceeded():
+    # No oval built on the plane gets here (q <= 128); a trusted Arc over
+    # GF(521) does, and the op tables stop at q = 512.
+    spec = make_field(521)
+    one = spec.one()
+    pts = [ProjPoint((one, t, t * t)) for t in spec.elements()]
+    pts.append(ProjPoint((spec.zero(), spec.zero(), one)))
+    oval = Arc(pts, _trusted=True)
+    with pytest.raises(BoundExceeded, match="q <= 512"):
+        tangent_frame(oval, oval.points[:3])
+
+
+def test_verification_failure_carries_the_certificate(monkeypatch):
+    spec = make_field(7)
+    oval = _oval(spec)
+    _, good = reconstruct_conic(oval)
+    other = parse_conic(spec, "[1:1:1:0:0:0]")
+    monkeypatch.setattr(segre, "fit_conic_nullspace", lambda points: other)
+    with pytest.raises(VerificationFailed, match="disagrees with the fit oracle") as info:
+        reconstruct_conic(oval)
+    cert = info.value.certificate
+    assert isinstance(cert, Certificate)
+    assert cert.oracle_conic == other.to_ints()
+    assert cert.to_json_dict() == dict(good.to_json_dict(),
+                                       oracle_conic=list(other.to_ints()))
+    # raised by a check that builds no certificate, it carries none
+    assert VerificationFailed("side meets are not collinear").certificate is None
+
+
+_ELEMENT_OPS = ("__add__", "__sub__", "__mul__", "__neg__", "__truediv__",
+                "__pow__", "inv")
+
+
+def _count_element_ops(fn, *args):
+    counter = [0]
+    with pytest.MonkeyPatch.context() as mp:
+        for name in _ELEMENT_OPS:
+            original = getattr(FieldElement, name)
+
+            def counted(*a, _original=original):
+                counter[0] += 1
+                return _original(*a)
+
+            mp.setattr(FieldElement, name, counted)
+        fn(*args)
+    return counter[0]
+
+
+def test_element_operations_do_not_grow_with_q():
+    """The per-point loops run on codes: one reconstruction and one tangent
+    frame of the standard conic, base at the same positions, make as many
+    FieldElement operator calls at q=121 as at q=11."""
+    counts = {}
+    for q in (11, 121):
+        spec = make_field(11, 1 if q == 11 else 2)
+        oval = _oval(spec)
+        base = oval.points[:3]
+        reconstruct_conic(oval, base)  # warm the field's tables and plane
+        counts[q] = (
+            _count_element_ops(reconstruct_conic, oval, base),
+            _count_element_ops(tangent_frame, oval, base),
+        )
+    assert counts[11] == counts[121]
+    assert all(n > 0 for n in counts[11])
