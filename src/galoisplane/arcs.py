@@ -20,7 +20,6 @@ from .gf import FieldSpec
 from .pg2 import (
     PLANE_MAX_ORDER,
     ProjPoint,
-    canonicalize,
     collinear,
     plane,
     point_sort_key,
@@ -34,11 +33,11 @@ def is_arc(points) -> tuple:
 
     The witness is the first equal pair, else the first collinear triple, in
     `itertools.combinations` order over the input positions.  Up to
-    PLANE_MAX_ORDER each point is looked up in the cached plane by its
-    canonical form, and collinearity is read off the plane's per-line masks
-    of input positions: a line holding three or more carries a collinear
-    triple, its three lowest positions first.  Above that order no plane
-    exists, and every pair is compared and every triple's determinant tested.
+    PLANE_MAX_ORDER each point is looked up in the cached plane, and
+    collinearity is read off the plane's per-line masks of input positions:
+    a line holding three or more carries a collinear triple, its three
+    lowest positions first.  Above that order no plane exists, and every
+    pair is compared and every triple's determinant tested.
     """
     pts = list(points)
     if not pts:
@@ -110,11 +109,6 @@ class Arc:
                     "three arc points are collinear: "
                     + " ".join(p.to_text() for p in witness)
                 )
-            if spec.q > PLANE_MAX_ORDER:
-                pts = tuple(canonicalize(p.coords) for p in pts)
-            else:
-                pl = plane(spec)
-                pts = tuple(pl.points[pl.index(p)] for p in pts)
         self.points = tuple(sorted(pts, key=point_sort_key))
 
     @classmethod
@@ -139,7 +133,7 @@ class Arc:
         return self.size == self.spec.q + 2
 
     def __contains__(self, p) -> bool:
-        return canonicalize(p.coords) in self.points
+        return p in self.points
 
     def __iter__(self):
         return iter(self.points)

@@ -17,7 +17,7 @@ from .arcs import Arc, search_maximal_arcs
 from .conic import parse_conic
 from .errors import BoundExceeded, GuardedInputError, InternalCheckFailed
 from .gf import parse_field
-from .pg2 import ProjPoint, canonicalize, parse_point, plane, verify_axioms
+from .pg2 import ProjPoint, parse_point, plane, verify_axioms
 from .segre import (
     desargues_axis,
     lemma_of_tangents,
@@ -152,9 +152,9 @@ def _classic_pair(spec):
         ProjPoint((zero, zero, one)),
     )
     tri2 = (
-        canonicalize((m, one, one)),
-        canonicalize((one, m, one)),
-        canonicalize((one, one, m)),
+        ProjPoint((m, one, one)),
+        ProjPoint((one, m, one)),
+        ProjPoint((one, one, m)),
     )
     return tri1, tri2
 

@@ -1,12 +1,14 @@
 """Conics in PG(2, q).
 
-A conic is stored as its canonical coefficient tuple (a, b, c, d, e, f) for
+A conic holds its field spec and the integer codes of its canonical
+coefficient tuple (a, b, c, d, e, f) for
 
     a*x^2 + b*y^2 + c*z^2 + d*xy + e*xz + f*yz,
 
-scaled so the first nonzero coefficient is 1 (proportional tuples cut out the
-same variety).  The monomial order (x^2, y^2, z^2, xy, xz, yz) is fixed and
-shared with the least-squares style fitting code.
+scaled once, at construction, so the first nonzero coefficient is 1
+(proportional tuples cut out the same variety); `coeffs` is a read-only view
+of the codes as field elements.  The monomial order (x^2, y^2, z^2, xy, xz,
+yz) is fixed and shared with the least-squares style fitting code.
 
 The variety is found row by row of the plane enumeration, not point by point:
 on each row (1, y, *), on (0, 1, *) and at (0, 0, 1) the form is a
@@ -33,20 +35,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import (
-    Degenerate,
-    EvenCharacteristic,
-    NotOnVariety,
-    SpecMismatch,
-    ZeroVector,
-)
+from .errors import Degenerate, EvenCharacteristic, NotOnVariety
 from .gf import FieldElement, FieldSpec
 from .linalg import Mat
 from .pg2 import (
     Collineation,
     ProjLine,
     ProjPoint,
-    canonicalize_line,
+    _canonical_codes,
     line_span_points,
     plane,
     point_sort_key,
@@ -56,33 +52,22 @@ MONOMIALS = ("x^2", "y^2", "z^2", "xy", "xz", "yz")
 
 
 class Conic:
-    """A conic, as a canonical 6-tuple of coefficients."""
+    """A conic, as the canonical code 6-tuple of its coefficients."""
 
-    __slots__ = ("coeffs", "_variety", "_report")
+    __slots__ = ("spec", "codes", "_variety", "_report")
 
     def __init__(self, coeffs):
-        coeffs = tuple(coeffs)
-        if len(coeffs) != 6:
-            raise ZeroVector(f"a conic needs 6 coefficients, got {len(coeffs)}")
-        spec = coeffs[0].spec
-        for x in coeffs[1:]:
-            if x.spec != spec:
-                raise SpecMismatch("conic coefficients from different field specs")
-        for x in coeffs:
-            if not x.is_zero():
-                if x != spec.one():
-                    s = x.inv()
-                    coeffs = tuple(s * y for y in coeffs)
-                break
-        else:
-            raise ZeroVector("all six conic coefficients are zero")
-        self.coeffs = coeffs
+        self.spec, self.codes = _canonical_codes(
+            coeffs, 6, "conic coefficients", "all six conic coefficients are zero"
+        )
         self._variety = None
         self._report = None
 
     @property
-    def spec(self) -> FieldSpec:
-        return self.coeffs[0].spec
+    def coeffs(self) -> tuple:
+        """The coefficients as field elements."""
+        elems = self.spec.elements()
+        return tuple([elems[c] for c in self.codes])
 
     def evaluate(self, p: ProjPoint) -> FieldElement:
         x, y, z = p.coords
@@ -100,18 +85,20 @@ class Conic:
         return self._report
 
     def to_text(self) -> str:
-        return "[" + ":".join(str(x.to_int()) for x in self.coeffs) + "]"
+        return "[" + ":".join(map(str, self.codes)) + "]"
 
     def to_ints(self) -> tuple:
-        return tuple(x.to_int() for x in self.coeffs)
+        return self.codes
 
     def __eq__(self, other):
         if not isinstance(other, Conic):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.codes == other.codes and (
+            other.spec is self.spec or other.spec == self.spec
+        )
 
     def __hash__(self):
-        return hash(("conic", self.coeffs))
+        return hash(("conic", self.codes))
 
     def __repr__(self):
         return f"Conic({self.to_text()} over GF({self.spec.q}))"
@@ -151,7 +138,7 @@ def variety_of(conic: Conic) -> tuple:
     pl = plane(spec)
     add, mul, neg, inv = spec.op_tables()
     square_roots, unit_roots = pl.square_roots, pl.unit_roots
-    a, b, c, d, e, f = (x.code for x in conic.coeffs)
+    a, b, c, d, e, f = conic.codes
     all_z = range(q)
 
     def roots(c2, c1, c0):
@@ -199,7 +186,7 @@ def tangent_at(conic: Conic, p: ProjPoint) -> ProjLine:
     g = gradient(conic, p)
     if all(x.is_zero() for x in g):
         raise Degenerate(f"gradient vanishes at {p.to_text()}, no unique tangent")
-    return canonicalize_line(g)
+    return ProjLine(g)
 
 
 def line_conic_intersect(conic: Conic, l: ProjLine) -> list:
@@ -266,12 +253,12 @@ def is_nondegenerate(conic: Conic) -> NondegeneracyReport:
     else:
         # `gradient` on codes: (2a*x + d*y + e*z, d*x + 2b*y + f*z, e*x + f*y + 2c*z)
         add, mul, _, _ = spec.op_tables()
-        a, b, c, d, e, f = (x.code for x in conic.coeffs)
+        a, b, c, d, e, f = conic.codes
         r2a, r2b, r2c = mul[add[a][a]], mul[add[b][b]], mul[add[c][c]]
         rd, re, rf = mul[d], mul[e], mul[f]
         gradient_ok = True
         for p in pts:
-            x, y, z = (t.code for t in p.coords)
+            x, y, z = p.codes
             if not (
                 add[add[r2a[x]][rd[y]]][re[z]]
                 or add[add[rd[x]][r2b[y]]][rf[z]]

@@ -1,8 +1,12 @@
 """The projective plane PG(2, q) over GF(q).
 
-Points and lines are canonical homogeneous coordinate triples: the unique
-scalar multiple whose first nonzero entry is 1.  A point (a, b, c) lies on a
-line [u, v, w] iff the dot product vanishes.  Joins and meets are computed as
+Points and lines hold their field spec and the integer codes of their
+canonical homogeneous coordinate triple: the unique scalar multiple whose
+first nonzero entry is 1.  The constructors scale and validate once; the
+plane's own points and lines, and join and meet results, are built straight
+from codes already canonical.  `coords` and `coeffs` are read-only views of
+the codes as the field's elements.  A point (a, b, c) lies on a line
+[u, v, w] iff the dot product vanishes.  Joins and meets are computed as
 nullspaces of the 2x3 matrix whose rows are the two given triples.
 
 Plane enumeration order is fixed: points (1, y, z) with y then z running
@@ -42,88 +46,99 @@ from .linalg import Mat, det3, inverse3, mat_vec, nullspace
 PLANE_MAX_ORDER = 128
 
 
-def _canonical_coords(v):
+def _canonical_codes(v, n: int, noun: str = "coordinates",
+                     zero: str = "the zero vector has no canonical form") -> tuple:
+    """(spec, codes) of n field elements scaled so the first nonzero entry is 1.
+
+    Raises ZeroVector for a wrong count or an all-zero input and SpecMismatch
+    for entries over different fields; `noun` and `zero` word the messages.
+    """
     v = tuple(v)
-    if len(v) != 3:
-        raise ZeroVector(f"expected 3 coordinates, got {len(v)}")
+    if len(v) != n:
+        raise ZeroVector(f"expected {n} {noun}, got {len(v)}")
     spec = v[0].spec
-    for x in v[1:]:
-        if x.spec != spec:
-            raise SpecMismatch("coordinates from different field specs")
     for x in v:
-        if not x.is_zero():
-            if x == spec.one():
-                return v
-            s = x.inv()
-            return tuple(s * y for y in v)
-    raise ZeroVector("the zero vector has no canonical form")
+        if x.spec is not spec and x.spec != spec:
+            raise SpecMismatch(f"{noun} from different field specs")
+    for x in v:
+        if x.code:
+            if x.code != 1:
+                s = x.inv()
+                v = tuple(s * y for y in v)
+            return spec, tuple(y.code for y in v)
+    raise ZeroVector(zero)
 
 
-class ProjPoint:
-    """A point of PG(2, q): a canonical homogeneous coordinate triple."""
+class _CodeTriple:
+    """A field spec and a canonical code triple: the body of points and lines.
 
-    __slots__ = ("coords",)
+    Equality and hashing are by the codes, and equal codes over different
+    fields stay unequal.  A point never equals a line.
+    """
+
+    __slots__ = ("spec", "codes")
+
+    @classmethod
+    def _of(cls, spec: FieldSpec, codes: tuple):
+        """The object of a code triple known to be canonical; no checks."""
+        t = cls.__new__(cls)
+        t.spec = spec
+        t.codes = codes
+        return t
+
+    def _elements(self) -> tuple:
+        elems = self.spec.elements()
+        a, b, c = self.codes
+        return elems[a], elems[b], elems[c]
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.codes == other.codes and (
+            other.spec is self.spec or other.spec == self.spec
+        )
+
+    def __hash__(self):
+        return hash((self._tag, self.codes))
+
+    def to_text(self) -> str:
+        return "[" + ":".join(map(str, self.codes)) + "]"
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.to_text()} over GF({self.spec.q}))"
+
+
+class ProjPoint(_CodeTriple):
+    """A point of PG(2, q): the canonical code triple of its coordinates."""
+
+    __slots__ = ()
+    _tag = "pt"
 
     def __init__(self, coords):
-        self.coords = coords
+        self.spec, self.codes = _canonical_codes(coords, 3)
 
-    @property
-    def spec(self) -> FieldSpec:
-        return self.coords[0].spec
-
-    def __eq__(self, other):
-        if not isinstance(other, ProjPoint):
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self):
-        return hash(("pt", self.coords))
-
-    def to_text(self) -> str:
-        return "[" + ":".join(str(x.to_int()) for x in self.coords) + "]"
-
-    def __repr__(self):
-        return f"ProjPoint({self.to_text()} over GF({self.spec.q}))"
+    coords = property(_CodeTriple._elements, doc="The coordinates as field elements.")
 
 
-class ProjLine:
-    """A line of PG(2, q): a canonical coefficient triple [u:v:w]."""
+class ProjLine(_CodeTriple):
+    """A line of PG(2, q): the canonical code triple of its coefficients [u:v:w]."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    _tag = "ln"
 
     def __init__(self, coeffs):
-        self.coeffs = coeffs
+        self.spec, self.codes = _canonical_codes(coeffs, 3)
 
-    @property
-    def spec(self) -> FieldSpec:
-        return self.coeffs[0].spec
-
-    def __eq__(self, other):
-        if not isinstance(other, ProjLine):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(("ln", self.coeffs))
-
-    def to_text(self) -> str:
-        return "[" + ":".join(str(x.to_int()) for x in self.coeffs) + "]"
-
-    def __repr__(self):
-        return f"ProjLine({self.to_text()} over GF({self.spec.q}))"
+    coeffs = property(_CodeTriple._elements, doc="The coefficients as field elements.")
 
 
 def canonicalize(v) -> ProjPoint:
     """Scale a nonzero coordinate triple so its first nonzero entry is 1."""
-    if isinstance(v, ProjPoint):
-        return v
-    return ProjPoint(_canonical_coords(v))
+    return v if isinstance(v, ProjPoint) else ProjPoint(v)
 
 
 def canonicalize_line(v) -> ProjLine:
-    if isinstance(v, ProjLine):
-        return v
-    return ProjLine(_canonical_coords(v))
+    return v if isinstance(v, ProjLine) else ProjLine(v)
 
 
 def _dot(u, v) -> FieldElement:
@@ -141,7 +156,8 @@ def join(p: ProjPoint, r: ProjPoint) -> ProjLine:
     basis = nullspace(Mat.from_rows([p.coords, r.coords]))
     if len(basis) != 1:
         raise EqualPoints("points do not span a line")
-    return ProjLine(basis[0])
+    a, b, c = basis[0]
+    return ProjLine._of(p.spec, (a.code, b.code, c.code))
 
 
 def meet(l: ProjLine, m: ProjLine) -> ProjPoint:
@@ -151,7 +167,8 @@ def meet(l: ProjLine, m: ProjLine) -> ProjPoint:
     basis = nullspace(Mat.from_rows([l.coeffs, m.coeffs]))
     if len(basis) != 1:
         raise EqualLines("lines do not meet in a single point")
-    return ProjPoint(basis[0])
+    a, b, c = basis[0]
+    return ProjPoint._of(l.spec, (a.code, b.code, c.code))
 
 
 def collinear(a: ProjPoint, b: ProjPoint, c: ProjPoint) -> bool:
@@ -161,11 +178,11 @@ def collinear(a: ProjPoint, b: ProjPoint, c: ProjPoint) -> bool:
 
 def point_sort_key(p: ProjPoint):
     """Key realizing the canonical plane enumeration order."""
-    a, b, c = p.coords
-    if not a.is_zero():
-        return (0, b.to_int(), c.to_int())
-    if not b.is_zero():
-        return (1, c.to_int(), 0)
+    a, b, c = p.codes
+    if a:
+        return (0, b, c)
+    if b:
+        return (1, c, 0)
     return (2, 0, 0)
 
 
@@ -180,13 +197,9 @@ def iter_point_codes(spec: FieldSpec):
     yield (0, 0, 1)
 
 
-def _point_from_codes(spec: FieldSpec, codes) -> ProjPoint:
-    return ProjPoint(tuple(spec.from_int(c) for c in codes))
-
-
 def iter_points(spec: FieldSpec):
     for codes in iter_point_codes(spec):
-        yield _point_from_codes(spec, codes)
+        yield ProjPoint._of(spec, codes)
 
 
 class Plane:
@@ -205,8 +218,8 @@ class Plane:
 
         code_triples = list(iter_point_codes(spec))
         cpi = {t: i for i, t in enumerate(code_triples)}
-        self.points = tuple(_point_from_codes(spec, t) for t in code_triples)
-        self.lines = tuple(ProjLine(p.coords) for p in self.points)
+        self.points = tuple(ProjPoint._of(spec, t) for t in code_triples)
+        self.lines = tuple(ProjLine._of(spec, t) for t in code_triples)
         self.point_index = {p: i for i, p in enumerate(self.points)}
         self.line_index = {l: i for i, l in enumerate(self.lines)}
 
@@ -258,12 +271,10 @@ class Plane:
         self.unit_roots = tuple(map(tuple, unit_roots))
 
     def index(self, p: ProjPoint) -> int:
-        """Index of a point, looked up by its canonical form if p is not canonical."""
+        """Index of a point of this plane."""
         i = self.point_index.get(p)
         if i is None:
-            if p.spec != self.spec:
-                raise SpecMismatch("point and plane from different field specs")
-            i = self.point_index[canonicalize(p.coords)]
+            raise SpecMismatch("point and plane from different field specs")
         return i
 
     def mask(self, points) -> int:
@@ -440,12 +451,12 @@ class Collineation:
         return self._inv
 
     def apply(self, p: ProjPoint) -> ProjPoint:
-        return canonicalize(mat_vec(self.matrix, p.coords))
+        return ProjPoint(mat_vec(self.matrix, p.coords))
 
     def apply_line(self, l: ProjLine) -> ProjLine:
         if self._inv_t is None:
             self._inv_t = self.inverse().matrix.transpose()
-        return canonicalize_line(mat_vec(self._inv_t, l.coeffs))
+        return ProjLine(mat_vec(self._inv_t, l.coeffs))
 
     def __matmul__(self, other: "Collineation") -> "Collineation":
         if not isinstance(other, Collineation):
@@ -461,13 +472,11 @@ def frame_transform(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint) -> C
 
     Columns [a|b|c] are rescaled by lam = [a|b|c]^-1 d so they sum to d, and
     the rescaled matrix is inverted by rescaling the rows of [a|b|c]^-1.  The
-    four points must be in general position (no three collinear).
+    rescaled matrix itself is the result's inverse, set so that `inverse()`
+    runs no inverse3.  The four points must be in general position (no three
+    collinear).
     """
-    m = Mat.from_rows([
-        (a.coords[0], b.coords[0], c.coords[0]),
-        (a.coords[1], b.coords[1], c.coords[1]),
-        (a.coords[2], b.coords[2], c.coords[2]),
-    ])
+    m = Mat.from_rows(zip(a.coords, b.coords, c.coords))
     try:
         m_inv = inverse3(m)
     except Singular:
@@ -475,10 +484,16 @@ def frame_transform(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint) -> C
     lam = mat_vec(m_inv, d.coords)
     if any(x.is_zero() for x in lam):
         raise DegenerateFrame("fourth frame point lies on a side of the base triangle")
-    # (m diag(lam))^-1 = diag(lam)^-1 m^-1: row i of m_inv scaled by 1/lam_i
-    return Collineation._trusted(Mat.from_rows(
+    # (m diag(lam))^-1 = diag(lam)^-1 m^-1: row i of m_inv scaled by 1/lam_i;
+    # column j of m scaled by lam_j gives m diag(lam) itself
+    t = Collineation._trusted(Mat.from_rows(
         [x / lam[i] for x in m_inv.row(i)] for i in range(3)
     ))
+    t._inv = Collineation._trusted(Mat.from_rows(
+        [x * lam[j] for j, x in enumerate(m.row(i))] for i in range(3)
+    ))
+    t._inv._inv = t
+    return t
 
 
 def _code_map(m: Mat):
@@ -521,17 +536,17 @@ def line_span_points(l: ProjLine) -> list[ProjPoint]:
     pts = []
     for t in spec.elements():
         combo = (s1[0] + t * s2[0], s1[1] + t * s2[1], s1[2] + t * s2[2])
-        pts.append(canonicalize(combo))
-    pts.append(canonicalize(s2))
+        pts.append(ProjPoint(combo))
+    pts.append(ProjPoint(s2))
     return pts
 
 
 def parse_point(spec: FieldSpec, text: str) -> ProjPoint:
-    return canonicalize(_parse_triple(spec, text))
+    return ProjPoint(_parse_triple(spec, text))
 
 
 def parse_line(spec: FieldSpec, text: str) -> ProjLine:
-    return canonicalize_line(_parse_triple(spec, text))
+    return ProjLine(_parse_triple(spec, text))
 
 
 def _parse_triple(spec: FieldSpec, text: str):

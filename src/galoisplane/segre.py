@@ -61,8 +61,6 @@ from .pg2 import (
     ProjLine,
     ProjPoint,
     _code_map,
-    canonicalize,
-    canonicalize_line,
     collinear,
     frame_transform,
     incident,
@@ -172,8 +170,9 @@ def sample_perspective_triangles(spec: FieldSpec, rng, *, max_tries: int = 5000)
         ):
             continue
         t = [spec.from_int(1 + rng.randrange(spec.q - 1)) for _ in range(3)]
+        cc = c.coords
         s = tuple(
-            canonicalize(tuple(p[i].coords[k] + t[i] * c.coords[k] for k in range(3)))
+            ProjPoint(tuple(x + t[i] * y for x, y in zip(p[i].coords, cc)))
             for i in range(3)
         )
         if len(set(s)) != 3 or collinear(*s) or (set(s) & set(p)):
@@ -212,10 +211,10 @@ class TangentFrame:
 def _pencil_line(spec: FieldSpec, which: int, slope) -> ProjLine:
     zero, one = spec.zero(), spec.one()
     if which == 1:
-        return canonicalize_line((zero, one, -slope))
+        return ProjLine((zero, one, -slope))
     if which == 2:
-        return canonicalize_line((-slope, zero, one))
-    return canonicalize_line((one, -slope, zero))
+        return ProjLine((-slope, zero, one))
+    return ProjLine((one, -slope, zero))
 
 
 def tangent_frame(oval: Arc, base) -> TangentFrame:
@@ -235,7 +234,7 @@ def tangent_frame(oval: Arc, base) -> TangentFrame:
         raise EvenOrder(f"tangent slopes need odd q, got q={q}")
     if oval.size != q + 1:
         raise NotAnOval(f"need an oval of q+1={q + 1} points, got {oval.size}")
-    base = tuple(canonicalize(b.coords) for b in base)
+    base = tuple(base)
     if len(base) != 3 or len(set(base)) != 3:
         raise EqualPoints("base must be three distinct points")
     for b in base:
@@ -251,8 +250,7 @@ def tangent_frame(oval: Arc, base) -> TangentFrame:
     # the slopes are ratios of coordinates, so the images need no scaling
     seen1, seen2, seen3 = set(), set(), set()
     for p in rest:
-        x, y, z = p.coords
-        c1, c2, c3 = image(x.code, y.code, z.code)
+        c1, c2, c3 = image(*p.codes)
         if not (c1 and c2 and c3):
             # a point on a side of the base triangle: the oval is no arc
             raise DivisionByZero(f"inverse of zero in GF({q})")
@@ -322,15 +320,15 @@ def lemma_of_tangents(frame: TangentFrame) -> LemmaResult:
     k1, k2, k3 = frame.slopes
     one = spec.one()
     # vertices of the tangent triangle, s_i opposite the base point e_i
-    s1 = canonicalize((k3, one, k2 * k3))
-    s2 = canonicalize((k1 * k3, k1, one))
-    s3 = canonicalize((one, k1 * k2, k2))
+    s1 = ProjPoint((k3, one, k2 * k3))
+    s2 = ProjPoint((k1 * k3, k1, one))
+    s3 = ProjPoint((one, k1 * k2, k2))
     zero = spec.zero()
     e1 = ProjPoint((one, zero, zero))
     e2 = ProjPoint((zero, one, zero))
     e3 = ProjPoint((zero, zero, one))
 
-    closed = canonicalize((one, k1 * k2, -k2))
+    closed = ProjPoint((one, k1 * k2, -k2))
     computed = perspective_center((e1, e2, e3), (s1, s2, s3))
     if computed is None or computed != closed:
         raise SegreRelationViolated(
@@ -341,7 +339,7 @@ def lemma_of_tangents(frame: TangentFrame) -> LemmaResult:
         if not incident(closed, ln):
             raise SegreRelationViolated("center is off one of the vertex joins")
 
-    reciprocal = canonicalize((one, -k3, k1 * k3))
+    reciprocal = ProjPoint((one, -k3, k1 * k3))
     reciprocal_lines = (
         _pencil_line(spec, 1, k2 * k3),
         _pencil_line(spec, 2, k1 * k3),
@@ -516,10 +514,10 @@ def reconstruct_conic(oval: Arc, base=None) -> tuple:
 
     # the form, on codes, as x*(a*x + d*y + e*z) + y*(b*y + f*z) + z*(c*z)
     add, mul, _, _ = spec.op_tables()
-    ra, rb, rc, rd, re, rf = (mul[x.code] for x in conic.coeffs)
-    codes = [tuple(x.code for x in p.coords) for p in oval.points]
+    ra, rb, rc, rd, re, rf = (mul[c] for c in conic.codes)
     all_points_ok = True
-    for x, y, z in codes:
+    for p in oval.points:
+        x, y, z = p.codes
         hx = add[add[ra[x]][rd[y]]][re[z]]
         hy = add[rb[y]][rf[z]]
         if add[add[mul[x][hx]][mul[y][hy]]][mul[z][rc[z]]]:
@@ -544,12 +542,11 @@ def reconstruct_conic(oval: Arc, base=None) -> tuple:
     line_image = _code_map(t.inverse().matrix.transpose())
     identities_ok = True
     base_set = set(norm.base)
-    for p, i, (x, y, z) in zip(oval.points, indices, codes):
+    for p, i in zip(oval.points, indices):
         if p in base_set:
             continue
-        c0, c1, c2 = image(x, y, z)
-        u, v, w = pl.lines[tangent_of[i]].coeffs
-        b0, b1, b2 = line_image(u.code, v.code, w.code)
+        c0, c1, c2 = image(*p.codes)
+        b0, b1, b2 = line_image(*pl.lines[tangent_of[i]].codes)
         s01, s02, s12 = add[c0][c1], add[c0][c2], add[c1][c2]
         if (
             mul[b2][s02] != mul[b1][s01]

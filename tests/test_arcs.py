@@ -122,7 +122,7 @@ def test_is_arc_malformed_input():
     f5, f7 = make_field(5), make_field(7)
     with pytest.raises(SpecMismatch):
         is_arc([_pt(f5, 1, 0, 0), _pt(f5, 0, 1, 0), _pt(f7, 0, 0, 1)])
-    # ProjPoint does not canonicalize; [2:2:2] is the point [1:1:1]
+    # ProjPoint normalises [2:2:2] to [1:1:1], so the two points repeat
     two = f5.from_int(2)
     scaled, unit = ProjPoint((two, two, two)), _pt(f5, 1, 1, 1)
     assert is_arc([scaled, unit]) == (False, (scaled, unit))

@@ -249,9 +249,12 @@ def test_golden_output(case):
     certificate, a degenerate variety, three rejected inputs, five
     extension-field runs, three more arc searches, three varieties over
     GF(121), GF(128) and GF(32), a sampled `segre verify` over GF(121)
-    (3 samples, seed 4) and a JSON `segre reconstruct` at q=7 with the
-    explicit base 6,1,3, byte for byte as recorded in tests/golden/ (a
-    missing .err file means no stderr)."""
+    (3 samples, seed 4), a JSON `segre reconstruct` at q=7 with the
+    explicit base 6,1,3, two seeded `desargues demo` runs on the large
+    planes (`--field q=121 --random 2 --seed 3`, and `--field q=128
+    --random 2 --seed 3 --format json`) and the errors for an all-zero
+    conic and an all-zero point, byte for byte as recorded in
+    tests/golden/ (a missing .err file means no stderr)."""
     code, out, err = _run_text(*case["argv"])
     assert code == case["exit"]
     assert out == (GOLDEN / f"{case['name']}.out").read_bytes().decode("utf-8")

@@ -23,6 +23,7 @@ from galoisplane.errors import (
     Degenerate,
     EvenCharacteristic,
     NotOnVariety,
+    SpecMismatch,
     ZeroVector,
 )
 from galoisplane.gf import make_field
@@ -57,6 +58,30 @@ def test_parse_conic_forms():
         parse_conic(spec, "[0:0:0:0:0:0]")
     with pytest.raises(ValueError):
         parse_conic(spec, "[1:2:3]")
+
+
+def test_conic_normalises_to_canonical_codes():
+    spec = make_field(5)
+    c = _conic(spec, 0, 2, 4, 0, 0, 1)
+    assert c.codes == c.to_ints() == (0, 1, 2, 0, 0, 3)
+    assert c.to_text() == "[0:1:2:0:0:3]"
+    assert c.coeffs == tuple(spec.from_int(v) for v in c.codes)
+    assert all(x is spec.elements()[v] for x, v in zip(c.coeffs, c.codes))
+    assert c == _conic(spec, 0, 1, 2, 0, 0, 3)
+    assert hash(c) == hash(_conic(spec, 0, 1, 2, 0, 0, 3))
+    with pytest.raises(AttributeError):
+        c.coeffs = c.coeffs
+
+
+def test_conic_rejects_bad_input_and_stays_apart_across_fields():
+    f5, f7 = make_field(5), make_field(7)
+    with pytest.raises(ZeroVector):
+        _conic(f5, 0, 0, 0, 0, 0, 0)
+    with pytest.raises(ZeroVector):
+        _conic(f5, 1, 0, 0, 0, 0)
+    with pytest.raises(SpecMismatch):
+        Conic(tuple(f5.element(v) for v in (1, 0, 0, 0, 0)) + (f7.element(1),))
+    assert _conic(f5, 1, 0, 0, 0, 0, 1) != _conic(f7, 1, 0, 0, 0, 0, 1)
 
 
 def test_conic_canonical_and_text():

@@ -15,12 +15,13 @@ from galoisplane.errors import (
     SpecMismatch,
     ZeroVector,
 )
+from galoisplane import gf, pg2
 from galoisplane.gf import make_field
-from galoisplane import pg2
 from galoisplane.linalg import Mat, inverse3, mat_vec
 from galoisplane.pg2 import (
     Collineation,
     Plane,
+    ProjLine,
     ProjPoint,
     canonicalize,
     canonicalize_line,
@@ -67,6 +68,74 @@ def test_zero_vector_rejected():
         canonicalize((z, z, z))
     with pytest.raises(ZeroVector):
         canonicalize_line((z, z, z))
+
+
+def test_constructors_normalise_to_canonical_codes():
+    spec = make_field(5)
+    two = spec.from_int(2)
+    for cls in (ProjPoint, ProjLine):
+        scaled, unit = cls((two, two, two)), cls(_e(spec, 1, 1, 1))
+        assert scaled.codes == unit.codes == (1, 1, 1)
+        assert scaled.to_text() == "[1:1:1]"
+        assert scaled == unit and hash(scaled) == hash(unit)
+    assert ProjPoint((two, two, two)).coords == _e(spec, 1, 1, 1)
+    assert ProjLine((two, two, two)).coeffs == _e(spec, 1, 1, 1)
+    assert ProjPoint(_e(spec, 0, 3, 4)).codes == (0, 1, 3)
+    assert ProjLine(_e(spec, 0, 0, 4)).codes == (0, 0, 1)
+
+
+def test_constructors_reject_zero_wrong_length_and_mixed_specs():
+    f5, f7 = make_field(5), make_field(7)
+    for cls in (ProjPoint, ProjLine):
+        with pytest.raises(ZeroVector):
+            cls(_e(f5, 0, 0, 0))
+        with pytest.raises(ZeroVector):
+            cls(_e(f5, 1, 2))
+        with pytest.raises(ZeroVector):
+            cls(_e(f5, 1, 2, 3, 4))
+        with pytest.raises(SpecMismatch):
+            cls(_e(f5, 1, 2) + _e(f7, 3))
+
+
+def test_points_and_lines_never_equal_across_kinds_or_fields():
+    f5, f7 = make_field(5), make_field(7)
+    p5, l5, p7 = ProjPoint(_e(f5, 1, 2, 3)), ProjLine(_e(f5, 1, 2, 3)), ProjPoint(_e(f7, 1, 2, 3))
+    assert p5.codes == l5.codes == p7.codes
+    assert p5 != l5 and l5 != p5
+    assert p5 != p7
+    assert len({p5, l5, p7}) == 3
+
+
+def test_coords_and_coeffs_are_read_only_views():
+    spec = make_field(3, 2)
+    p, l = ProjPoint(_e(spec, 1, 2, 3)), ProjLine(_e(spec, 0, 1, 5))
+    assert all(x is spec.elements()[c] for x, c in zip(p.coords, p.codes))
+    assert all(x is spec.elements()[c] for x, c in zip(l.coeffs, l.codes))
+    with pytest.raises(AttributeError):
+        p.coords = _e(spec, 1, 0, 0)
+    with pytest.raises(AttributeError):
+        l.coeffs = _e(spec, 1, 0, 0)
+    with pytest.raises(AttributeError):
+        p.extra = 1
+
+
+def test_plane_build_creates_no_field_element(monkeypatch):
+    """With warm op tables, a plane is built on integer codes alone."""
+    specs = [make_field(7), make_field(3, 2)]
+    for spec in specs:
+        spec.op_tables()
+    made = []
+    original = gf.FieldElement.__init__
+
+    def counted(self, spec, code):
+        made.append(code)
+        original(self, spec, code)
+
+    monkeypatch.setattr(gf.FieldElement, "__init__", counted)
+    for spec in specs:
+        pl = Plane(spec)
+        assert len(pl.points) == spec.q * spec.q + spec.q + 1
+    assert made == []
 
 
 def test_point_enumeration_order_and_count():
@@ -373,8 +442,11 @@ def test_frame_transform_standard_frame():
         assert t.apply(d) == unit
 
 
-def test_frame_transform_matches_inverse_of_scaled_columns():
-    """One inverse3 plus a row rescale equals inverting [a|b|c] diag(lam)."""
+def test_frame_transform_matches_inverse_of_scaled_columns(monkeypatch):
+    """One inverse3 plus a row rescale equals inverting [a|b|c] diag(lam),
+    and the first inverse() returns [a|b|c] diag(lam) without an inverse3."""
+    calls = []
+    monkeypatch.setattr(pg2, "inverse3", lambda m: calls.append(m) or inverse3(m))
     for p, k in ((5, 1), (2, 3), (3, 2)):
         spec = make_field(p, k)
         pl = plane(spec)
@@ -390,7 +462,13 @@ def test_frame_transform_matches_inverse_of_scaled_columns():
             scaled = Mat.from_rows(
                 [lam[j] * m.at(i, j) for j in range(3)] for i in range(3)
             )
-            assert frame_transform(a, b, c, d).matrix == inverse3(scaled)
+            calls.clear()
+            t = frame_transform(a, b, c, d)
+            assert t.matrix == inverse3(scaled) and len(calls) == 1
+            calls.clear()
+            assert t.inverse().matrix == scaled == inverse3(t.matrix)
+            assert t.inverse().inverse() is t
+            assert calls == []
 
 
 def test_frame_transform_degenerate_rejected():
