@@ -400,15 +400,21 @@ def make_field(p: int, k: int = 1, modulus=None, *, max_order: int = DEFAULT_MAX
 
 
 def product_nonzero(spec: FieldSpec) -> FieldElement:
-    """Product over all nonzero elements; self-checks that it equals -1."""
-    acc = spec.one()
-    for e in spec.elements()[1:]:
-        acc = acc * e
-    if acc != -spec.one():
+    """Product over all nonzero elements; self-checks that it equals -1.
+
+    The codes 1..q-1 are folded on the kernel with __mul__'s own lookup,
+    antilog[log(a) + log(b)], so no element is made until the result.
+    """
+    antilog, log, _, _ = spec._kernel or spec._build_kernel()
+    acc = 1
+    for lc in log[1:]:
+        acc = antilog[log[acc] + lc]
+    result = FieldElement(spec, acc)
+    if result != -spec.one():
         raise InternalCheckFailed(
-            f"product of nonzero elements of GF({spec.q}) returned {acc!r}, expected -1"
+            f"product of nonzero elements of GF({spec.q}) returned {result!r}, expected -1"
         )
-    return acc
+    return result
 
 
 def _prime_power(n: int):

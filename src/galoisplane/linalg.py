@@ -37,7 +37,7 @@ class Mat:
         flat = tuple(e for r in rows for e in r)
         spec = flat[0].spec
         for e in flat:
-            if e.spec != spec:
+            if e.spec is not spec and e.spec != spec:
                 raise SpecMismatch("matrix entries from different field specs")
         return cls(spec, len(rows), width, flat)
 

@@ -6,8 +6,11 @@ first nonzero entry is 1.  The constructors scale and validate once; the
 plane's own points and lines, and join and meet results, are built straight
 from codes already canonical.  `coords` and `coeffs` are read-only views of
 the codes as the field's elements.  A point (a, b, c) lies on a line
-[u, v, w] iff the dot product vanishes.  Joins and meets are computed as
-nullspaces of the 2x3 matrix whose rows are the two given triples.
+[u, v, w] iff the dot product vanishes, and three points are collinear iff
+a . (b x c) does; `incident` and `collinear` compute both on the codes with
+the field's log/antilog/Zech kernel, which serves every field order.  Joins
+and meets stay nullspaces of the 2x3 matrix whose rows are the two given
+triples, because perfbench's tracer test pins one join to one nullspace call.
 
 Plane enumeration order is fixed: points (1, y, z) with y then z running
 through the field's code order, then (0, 1, z), then (0, 0, 1); lines use the
@@ -27,6 +30,7 @@ field, in every characteristic (see `conic.variety_of`).
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -40,7 +44,7 @@ from .errors import (
     SpecMismatch,
     ZeroVector,
 )
-from .gf import FieldElement, FieldSpec
+from .gf import FieldSpec
 from .linalg import Mat, det3, inverse3, mat_vec, nullspace
 
 PLANE_MAX_ORDER = 128
@@ -141,12 +145,45 @@ def canonicalize_line(v) -> ProjLine:
     return v if isinstance(v, ProjLine) else ProjLine(v)
 
 
-def _dot(u, v) -> FieldElement:
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+def _log_sum(kernel, logs) -> int:
+    """Code of the sum of g^t over the logs t, by __add__'s Zech step per term."""
+    antilog, _, zech, _ = kernel
+    n = len(zech)
+    acc = -1  # log of the partial sum; -1 while it is zero
+    for t in logs:
+        if acc < 0:
+            acc = t
+        else:
+            z = zech[(t - acc) % n]
+            acc = acc + z if z >= 0 else -1
+    return antilog[acc % n] if acc >= 0 else 0
+
+
+def _dot(spec: FieldSpec, u, v) -> int:
+    """Code of the dot product of two code triples; products are log sums."""
+    kernel = spec._kernel or spec._build_kernel()
+    log = kernel[1]
+    return _log_sum(kernel, [log[a] + log[b] for a, b in zip(u, v) if a and b])
+
+
+def _cross(spec: FieldSpec, u, v) -> tuple:
+    """Code triple of the cross product u x v of two code triples."""
+    kernel = spec._kernel or spec._build_kernel()
+    log, log_m1 = kernel[1], kernel[3]
+    out = []
+    for i, j in ((1, 2), (2, 0), (0, 1)):
+        # u_i v_j - u_j v_i, the minus a factor g^log(-1)
+        logs = [log[u[i]] + log[v[j]]] if u[i] and v[j] else []
+        if u[j] and v[i]:
+            logs.append(log[u[j]] + log[v[i]] + log_m1)
+        out.append(_log_sum(kernel, logs))
+    return tuple(out)
 
 
 def incident(p: ProjPoint, l: ProjLine) -> bool:
-    return _dot(p.coords, l.coeffs).is_zero()
+    if l.spec is not p.spec and l.spec != p.spec:
+        raise SpecMismatch("point and line from different field specs")
+    return not _dot(p.spec, p.codes, l.codes)
 
 
 def join(p: ProjPoint, r: ProjPoint) -> ProjLine:
@@ -172,8 +209,12 @@ def meet(l: ProjLine, m: ProjLine) -> ProjPoint:
 
 
 def collinear(a: ProjPoint, b: ProjPoint, c: ProjPoint) -> bool:
-    """True iff the three points lie on one line (repeats count as collinear)."""
-    return det3(Mat.from_rows([a.coords, b.coords, c.coords])).is_zero()
+    """True iff the three points lie on one line (repeats count as collinear),
+    that is iff the code determinant a . (b x c) vanishes."""
+    spec = a.spec
+    if not (spec is b.spec is c.spec or spec == b.spec == c.spec):
+        raise SpecMismatch("points from different field specs")
+    return not _dot(spec, a.codes, _cross(spec, b.codes, c.codes))
 
 
 def point_sort_key(p: ProjPoint):
@@ -217,38 +258,30 @@ class Plane:
         add, mul, neg, inv = spec.op_tables()
 
         code_triples = list(iter_point_codes(spec))
-        cpi = {t: i for i, t in enumerate(code_triples)}
         self.points = tuple(ProjPoint._of(spec, t) for t in code_triples)
         self.lines = tuple(ProjLine._of(spec, t) for t in code_triples)
         self.point_index = {p: i for i, p in enumerate(self.points)}
         self.line_index = {l: i for i, l in enumerate(self.lines)}
 
-        # Points on each line, via an explicit spanning pair for the
-        # orthogonal complement of the coefficient triple.  The generated
-        # triples come out canonical already.
+        # Points on [a:b:c] as ascending indices ((1, y, z) is y*q + z,
+        # (0, 1, z) is q*q + z): (1, y, -(a + b*y)/c) per y and (0, 1, -b/c)
+        # if c != 0; else (1, -a/b, z) per z and (0, 0, 1) if b != 0; else
+        # (0, 1, z) and (0, 0, 1).  Entries come from one index list, so all
+        # lines share n ints, and each tuple is built once at its final size.
+        qq = q * q
+        index = list(range(self.n))
+        rows = [index[y * q:y * q + q] for y in range(q)]
         line_points = []
         for (a, b, c) in code_triples:
             if c:
-                ic = inv[c]
-                s1 = (1, 0, neg[mul[ic][a]])
-                s2 = (0, 1, neg[mul[ic][b]])
+                m = mul[neg[inv[c]]]
+                pts = list(map(operator.getitem, rows, map(add[m[a]].__getitem__, mul[m[b]])))
+                pts.append(index[qq + m[b]])
+                line_points.append(tuple(pts))
             elif b:
-                ib = inv[b]
-                s1 = (1, neg[mul[ib][a]], 0)
-                s2 = (0, 0, 1)
+                line_points.append(tuple(rows[mul[neg[inv[b]]][a]]) + (index[-1],))
             else:
-                s1 = (0, 1, 0)
-                s2 = (0, 0, 1)
-            pts = []
-            for t in range(q):
-                combo = (
-                    add[s1[0]][mul[t][s2[0]]],
-                    add[s1[1]][mul[t][s2[1]]],
-                    add[s1[2]][mul[t][s2[2]]],
-                )
-                pts.append(cpi[combo])
-            pts.append(cpi[s2])
-            line_points.append(tuple(sorted(pts)))
+                line_points.append(tuple(index[qq:]))
         self.line_points = tuple(line_points)
 
         by_point = [[] for _ in range(self.n)]
@@ -256,9 +289,16 @@ class Plane:
             for pi in pts:
                 by_point[pi].append(li)
         self.point_lines = tuple(tuple(ls) for ls in by_point)
-        self.line_masks = tuple(
-            sum(1 << pi for pi in pts) for pts in self.line_points
-        )
+        # bits set in a byte buffer: a sum of q+1 n-bit shifts costs O(q*n)
+        nbytes = (self.n + 7) // 8
+
+        def mask(pts):
+            buf = bytearray(nbytes)
+            for pi in pts:
+                buf[pi >> 3] |= 1 << (pi & 7)
+            return int.from_bytes(buf, "little")
+
+        self.line_masks = tuple(map(mask, self.line_points))
 
         # Per code s, the ascending codes w with w*w = s and with w*w + w = s.
         square_roots = [[] for _ in range(q)]
@@ -274,6 +314,8 @@ class Plane:
         """Index of a point of this plane."""
         i = self.point_index.get(p)
         if i is None:
+            if not isinstance(p, ProjPoint):
+                raise TypeError(f"expected a ProjPoint, got {type(p).__name__}")
             raise SpecMismatch("point and plane from different field specs")
         return i
 

@@ -165,9 +165,7 @@ def sample_perspective_triangles(spec: FieldSpec, rng, *, max_tries: int = 5000)
         p = tuple(pts[rng.randrange(n)] for _ in range(3))
         if len(set(p)) != 3 or collinear(*p):
             continue
-        if c in p or any(
-            collinear(c, p[i], p[j]) for i, j in ((0, 1), (0, 2), (1, 2))
-        ):
+        if c in p or any(collinear(c, p[i], p[j]) for i, j in _SIDE_PAIRS):
             continue
         t = [spec.from_int(1 + rng.randrange(spec.q - 1)) for _ in range(3)]
         cc = c.coords
@@ -177,12 +175,9 @@ def sample_perspective_triangles(spec: FieldSpec, rng, *, max_tries: int = 5000)
         )
         if len(set(s)) != 3 or collinear(*s) or (set(s) & set(p)):
             continue
-        shared = False
-        for i, j in _SIDE_PAIRS:
-            if join(p[i], p[j]) == join(s[i], s[j]):
-                shared = True
-                break
-        if shared:
+        # a shared side: s_i and s_j both on the side through p_i and p_j
+        if any(collinear(p[i], p[j], s[i]) and collinear(p[i], p[j], s[j])
+               for i, j in _SIDE_PAIRS):
             continue
         return p, s
     raise InternalCheckFailed("could not sample a perspective pair; q too small?")

@@ -8,11 +8,14 @@ import pytest
 from galoisplane.errors import (
     BoundExceeded,
     DivisionByZero,
+    InternalCheckFailed,
     NotIrreducible,
     NotPrime,
     SpecMismatch,
 )
+from galoisplane import gf
 from galoisplane.gf import (
+    FieldSpec,
     make_field,
     parse_field,
     product_nonzero,
@@ -170,6 +173,38 @@ def test_to_text_roundtrip():
 def test_product_of_nonzero_elements():
     for spec in (make_field(2), make_field(7), make_field(3, 2), make_field(2, 4)):
         assert product_nonzero(spec) == -spec.one()
+
+
+def test_product_nonzero_folds_codes_without_making_elements(monkeypatch):
+    """Over GF(2^14) and GF(16381) the fold runs on the kernel's codes: a
+    handful of FieldElements (the result and the -1 it is checked against),
+    not one per factor."""
+    specs = [make_field(2, 14), make_field(16381)]
+    for spec in specs:
+        spec.one() + spec.one()  # build the kernel
+    made = []
+    original = gf.FieldElement.__init__
+
+    def counted(self, spec, code):
+        made.append(code)
+        original(self, spec, code)
+
+    monkeypatch.setattr(gf.FieldElement, "__init__", counted)
+    for spec in specs:
+        made.clear()
+        result = product_nonzero(spec)
+        assert 0 < len(made) <= 3
+        assert result == -spec.one()
+
+
+def test_product_nonzero_self_check_raises():
+    # an uninterned spec whose log table sends every code to log 0: the fold
+    # returns 1, and the check against -1 must reject it
+    spec = FieldSpec(7, 1, (0, 1))
+    antilog, log, zech, log_m1 = spec._build_kernel()
+    spec._kernel = (antilog, [-1] + [0] * 6, zech, log_m1)
+    with pytest.raises(InternalCheckFailed, match="expected -1"):
+        product_nonzero(spec)
 
 
 def test_element_negative_int_coercion():

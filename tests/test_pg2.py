@@ -17,7 +17,7 @@ from galoisplane.errors import (
 )
 from galoisplane import gf, pg2
 from galoisplane.gf import make_field
-from galoisplane.linalg import Mat, inverse3, mat_vec
+from galoisplane.linalg import Mat, det3, inverse3, mat_vec
 from galoisplane.pg2 import (
     Collineation,
     Plane,
@@ -192,6 +192,80 @@ def test_collinear_matches_join_membership():
         assert collinear(a, b, c) == incident(c, join(a, b))
 
 
+def _det3_zero(a, b, c):
+    return det3(Mat.from_rows([a.coords, b.coords, c.coords])).is_zero()
+
+
+def _element_dot_zero(p, l):
+    (x, y, z), (u, v, w) = p.coords, l.coeffs
+    return (x * u + y * v + z * w).is_zero()
+
+
+@pytest.mark.parametrize("p, k", [(2, 2), (5, 1)])
+def test_code_collinear_and_incident_agree_with_elements_exhaustive(p, k):
+    pl = plane(make_field(p, k))
+    for a, b, c in itertools.product(pl.points, repeat=3):
+        assert collinear(a, b, c) == _det3_zero(a, b, c), (a, b, c)
+    for pt in pl.points:
+        for l in pl.lines:
+            assert incident(pt, l) == _element_dot_zero(pt, l), (pt, l)
+
+
+@pytest.mark.parametrize("p, k", [(3, 2), (11, 2), (2, 7), (521, 1), (16381, 1), (2, 14)])
+def test_code_collinear_and_incident_agree_with_elements_sampled(p, k):
+    """Random triples with zero coordinates mixed in, plus collinear triples
+    and incident pairs built with element arithmetic, up to GF(2^14)."""
+    spec = make_field(p, k)
+    q = spec.q
+    rng = random.Random(q)
+
+    def coord():
+        return spec.from_int(rng.choice((0, 0, 1, rng.randrange(q))))
+
+    def point():
+        while True:
+            v = (coord(), coord(), coord())
+            if any(v):
+                return ProjPoint(v)
+
+    def element_cross(a, b):
+        (a0, a1, a2), (b0, b1, b2) = a.coords, b.coords
+        return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        a, b, c = point(), point(), point()
+        got = collinear(a, b, c)
+        assert got == _det3_zero(a, b, c), (a, b, c)
+        seen[got] += 1
+        s, t = coord(), coord()
+        on_ab = tuple(s * x + t * y for x, y in zip(a.coords, b.coords))
+        if any(on_ab):
+            assert collinear(a, b, ProjPoint(on_ab)) and collinear(ProjPoint(on_ab), b, a)
+        l = ProjLine((coord(), coord(), spec.one()))
+        assert incident(c, l) == _element_dot_zero(c, l), (c, l)
+        if a != b:
+            ab = ProjLine(element_cross(a, b))
+            assert incident(a, ab) and incident(b, ab)
+            assert incident(c, ab) == got
+    assert seen[True] and seen[False]
+
+
+def test_code_collinear_and_incident_reject_mixed_fields():
+    five, nine, nine_other = make_field(5), make_field(3, 2), make_field(3, 2, (2, 1, 1))
+    p5 = canonicalize(_e(five, 1, 2, 3))
+    q5 = canonicalize(_e(five, 0, 1, 4))
+    for other in (canonicalize(_e(nine, 1, 2, 3)), canonicalize(_e(nine_other, 1, 2, 3))):
+        for triple in ((other, p5, q5), (p5, other, q5), (p5, q5, other)):
+            with pytest.raises(SpecMismatch):
+                collinear(*triple)
+    with pytest.raises(SpecMismatch):
+        incident(p5, canonicalize_line(_e(make_field(7), 1, 2, 3)))
+    # equal codes over two moduli of GF(9) are still different fields
+    with pytest.raises(SpecMismatch):
+        incident(canonicalize(_e(nine, 1, 2, 3)), canonicalize_line(_e(nine_other, 1, 0, 0)))
+
+
 def test_plane_counts():
     for q, p, k in ((2, 2, 1), (3, 3, 1), (4, 2, 2), (5, 5, 1), (9, 3, 2)):
         spec = make_field(p, k)
@@ -209,11 +283,11 @@ def test_plane_cache_identity():
 
 
 def test_plane_line_points_match_span():
-    spec = make_field(2, 2)
-    pl = plane(spec)
-    for li, l in enumerate(pl.lines):
-        spanned = {pl.point_index[p] for p in line_span_points(l)}
-        assert spanned == set(pl.line_points[li])
+    for p, k in ((2, 2), (3, 1), (2, 3), (3, 2), (2, 4), (5, 2)):
+        pl = plane(make_field(p, k))
+        for li, l in enumerate(pl.lines):
+            spanned = sorted(pl.point_index[x] for x in line_span_points(l))
+            assert pl.line_points[li] == tuple(spanned)
 
 
 def test_plane_pair_line_agrees_with_join():
@@ -250,12 +324,23 @@ def test_plane_index_canonicalizes():
         pl.index(canonicalize(_e(make_field(7), 1, 1, 1)))
 
 
+def test_plane_index_rejects_non_points_with_type_error():
+    pl = plane(make_field(5))
+    with pytest.raises(TypeError, match="expected a ProjPoint, got ProjLine"):
+        pl.index(pl.lines[3])
+    with pytest.raises(TypeError, match="expected a ProjPoint, got tuple"):
+        pl.index((1, 1, 1))
+    # a point over another field is a field mismatch, not a type error
+    with pytest.raises(SpecMismatch):
+        pl.index(canonicalize(_e(make_field(3, 2), 1, 1, 1)))
+
+
 def test_plane_line_masks():
-    spec = make_field(3)
-    pl = plane(spec)
-    for li, mask in enumerate(pl.line_masks):
-        assert mask.bit_count() == 4
-        assert {i for i in range(13) if mask >> i & 1} == set(pl.line_points[li])
+    for p, k in ((3, 1), (2, 2), (2, 3), (3, 2)):
+        pl = plane(make_field(p, k))
+        for li, mask in enumerate(pl.line_masks):
+            assert mask.bit_count() == pl.spec.q + 1
+            assert {i for i in range(pl.n) if mask >> i & 1} == set(pl.line_points[li])
 
 
 def test_plane_line_counts_match_line_hits():

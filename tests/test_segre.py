@@ -182,6 +182,33 @@ def test_sampler_is_deterministic():
     assert a == b
 
 
+# (q, seed) -> vertex codes of the two triangles and the next 16 random
+# bits, recorded from the sampler that tested shared sides with two joins
+_SAMPLED_PAIRS = {
+    (7, 1): ([(1, 5, 1), (0, 1, 5), (0, 1, 2)], [(1, 3, 1), (1, 6, 5), (1, 2, 3)], 32468),
+    (7, 2): ([(0, 1, 5), (1, 0, 3), (1, 0, 5)], [(0, 1, 2), (1, 3, 0), (1, 2, 3)], 48232),
+    (7, 3): ([(1, 5, 2), (1, 4, 6), (1, 1, 1)], [(1, 1, 3), (1, 0, 3), (1, 6, 1)], 41007),
+    (7, 4): ([(1, 2, 5), (1, 0, 6), (1, 6, 4)], [(1, 2, 6), (1, 3, 2), (1, 1, 2)], 5904),
+    (7, 5): ([(1, 6, 2), (0, 1, 4), (1, 6, 5)], [(1, 5, 1), (0, 1, 5), (1, 0, 6)], 55073),
+    (7, 42): ([(1, 1, 0), (1, 0, 1), (1, 6, 5)], [(1, 4, 2), (1, 1, 6), (1, 3, 5)], 9144),
+    (128, 1): ([(1, 16, 19), (1, 65, 38), (1, 30, 23)],
+               [(1, 9, 99), (1, 35, 17), (1, 9, 70)], 30949),
+    (128, 2): ([(1, 78, 113), (1, 64, 51), (1, 54, 41)],
+               [(1, 101, 111), (1, 97, 113), (1, 122, 99)], 44646),
+    (128, 3): ([(1, 33, 49), (1, 94, 90), (1, 121, 45)],
+               [(1, 16, 68), (1, 26, 76), (1, 76, 126)], 39688),
+}
+
+
+@pytest.mark.parametrize("q, seed", sorted(_SAMPLED_PAIRS))
+def test_sampler_pairs_and_draws_are_pinned(q, seed):
+    spec = make_field(7) if q == 7 else make_field(2, 7)
+    rng = random.Random(seed)
+    tri1, tri2 = sample_perspective_triangles(spec, rng)
+    got = ([x.codes for x in tri1], [x.codes for x in tri2], rng.getrandbits(16))
+    assert got == _SAMPLED_PAIRS[q, seed]
+
+
 def test_tangent_frame_worked_example():
     """Base (e1, e2, e3) on the conic xy + xz + yz over GF(5)."""
     spec = make_field(5)
