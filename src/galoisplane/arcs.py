@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import BoundExceeded, EqualPoints, Degenerate, PointNotOnArc, SpecMismatch
+from .errors import BoundExceeded, EqualPoints, Degenerate, PointNotOnArc
 from .gf import FieldSpec
+from .linalg import _same_field
 from .pg2 import (
     PLANE_MAX_ORDER,
     ProjPoint,
@@ -43,9 +44,7 @@ def is_arc(points) -> tuple:
     if not pts:
         return True, None
     spec = pts[0].spec
-    for p in pts[1:]:
-        if p.spec != spec:
-            raise SpecMismatch("arc points from different field specs")
+    _same_field("arc points", spec, *[p.spec for p in pts])
     if spec.q > PLANE_MAX_ORDER:
         return _is_arc_by_determinants(pts)
 
@@ -96,10 +95,7 @@ class Arc:
         pts = tuple(points)
         if not pts:
             raise Degenerate("an arc needs at least one point")
-        spec = pts[0].spec
-        for p in pts[1:]:
-            if p.spec != spec:
-                raise SpecMismatch("arc points from different field specs")
+        _same_field("arc points", pts[0].spec, *[p.spec for p in pts])
         if not _trusted:
             ok, witness = is_arc(pts)
             if not ok:

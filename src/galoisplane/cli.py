@@ -143,19 +143,11 @@ def _cmd_oval_search(args) -> int:
 
 
 def _classic_pair(spec):
-    one = spec.one()
-    zero = spec.zero()
-    m = -one
-    tri1 = (
-        ProjPoint((one, zero, zero)),
-        ProjPoint((zero, one, zero)),
-        ProjPoint((zero, zero, one)),
-    )
-    tri2 = (
-        ProjPoint((m, one, one)),
-        ProjPoint((one, m, one)),
-        ProjPoint((one, one, m)),
-    )
+    """e1, e2, e3 and (-1, 1, 1), (1, -1, 1), (1, 1, -1), as canonical codes;
+    the code of -1 is p - 1."""
+    m = spec.p - 1
+    tri1 = tuple(ProjPoint._of(spec, v) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    tri2 = tuple(ProjPoint._of(spec, v) for v in ((1, m, m), (1, m, 1), (1, 1, m)))
     return tri1, tri2
 
 

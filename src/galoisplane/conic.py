@@ -10,6 +10,11 @@ scaled once, at construction, so the first nonzero coefficient is 1
 of the codes as field elements.  The monomial order (x^2, y^2, z^2, xy, xz,
 yz) is fixed and shared with the least-squares style fitting code.
 
+The form is the upper matrix U = [[a, d, e], [0, b, f], [0, 0, c]] on codes,
+f(v) = v . (U v) in every characteristic; `evaluate`, `gradient`,
+`line_conic_intersect` and `transform_conic` compute with U through
+`linalg`'s code products, at every field order and with no element arithmetic.
+
 The variety is found row by row of the plane enumeration, not point by point:
 on each row (1, y, *), on (0, 1, *) and at (0, 0, 1) the form is a
 quadratic in z, solved from the plane's root tables, so a variety costs O(q)
@@ -37,71 +42,51 @@ from typing import Optional
 
 from .errors import Degenerate, EvenCharacteristic, NotOnVariety
 from .gf import FieldElement, FieldSpec
-from .linalg import Mat
+from .linalg import Mat, _dot, _elements, _inv, _mat_vec, _rows, _same_field, _scale
 from .pg2 import (
     Collineation,
     ProjLine,
     ProjPoint,
+    _Codes,
     _canonical_codes,
-    line_span_points,
+    _element_codes,
     plane,
-    point_sort_key,
 )
+
+_ALL_ZERO = "all six conic coefficients are zero"
 
 MONOMIALS = ("x^2", "y^2", "z^2", "xy", "xz", "yz")
 
 
-class Conic:
+class Conic(_Codes):
     """A conic, as the canonical code 6-tuple of its coefficients."""
 
-    __slots__ = ("spec", "codes", "_variety", "_report")
+    __slots__ = ("_variety", "_report")
+    _tag = "conic"
 
     def __init__(self, coeffs):
-        self.spec, self.codes = _canonical_codes(
-            coeffs, 6, "conic coefficients", "all six conic coefficients are zero"
-        )
-        self._variety = None
-        self._report = None
+        self.spec, self.codes = _element_codes(coeffs, 6, "conic coefficients", _ALL_ZERO)
 
-    @property
-    def coeffs(self) -> tuple:
-        """The coefficients as field elements."""
-        elems = self.spec.elements()
-        return tuple([elems[c] for c in self.codes])
+    coeffs = property(_Codes._elements, doc="The coefficients as field elements.")
 
     def evaluate(self, p: ProjPoint) -> FieldElement:
-        x, y, z = p.coords
-        a, b, c, d, e, f = self.coeffs
-        return a * x * x + b * y * y + c * z * z + d * x * y + e * x * z + f * y * z
+        """The form at p, v . (U v) on codes."""
+        _same_field("conic and point", self.spec, p.spec)
+        v = p.codes
+        return FieldElement(self.spec, _dot(self.spec, v, _mat_vec(upper_matrix(self), v)))
 
     def variety(self) -> tuple:
-        if self._variety is None:
+        if getattr(self, "_variety", None) is None:  # the slot is unset until then
             self._variety = variety_of(self)
         return self._variety
 
     def nondegeneracy(self) -> "NondegeneracyReport":
-        if self._report is None:
+        if getattr(self, "_report", None) is None:
             self._report = is_nondegenerate(self)
         return self._report
 
-    def to_text(self) -> str:
-        return "[" + ":".join(map(str, self.codes)) + "]"
-
     def to_ints(self) -> tuple:
         return self.codes
-
-    def __eq__(self, other):
-        if not isinstance(other, Conic):
-            return NotImplemented
-        return self.codes == other.codes and (
-            other.spec is self.spec or other.spec == self.spec
-        )
-
-    def __hash__(self):
-        return hash(("conic", self.codes))
-
-    def __repr__(self):
-        return f"Conic({self.to_text()} over GF({self.spec.q}))"
 
 
 def parse_conic(spec: FieldSpec, text: str) -> Conic:
@@ -165,18 +150,13 @@ def variety_of(conic: Conic) -> tuple:
 
 
 def gradient(conic: Conic, p: ProjPoint) -> tuple:
-    """The gradient of the defining form at a point; odd characteristic only."""
+    """The gradient (U + U^T) v of the form at a point; odd characteristic only."""
     spec = conic.spec
     if spec.p == 2:
         raise EvenCharacteristic("the gradient criterion needs odd characteristic")
-    x, y, z = p.coords
-    a, b, c, d, e, f = conic.coeffs
-    two = spec.element(2)
-    return (
-        two * a * x + d * y + e * z,
-        two * b * y + d * x + f * z,
-        two * c * z + e * x + f * y,
-    )
+    _same_field("conic and point", spec, p.spec)
+    # U + U^T is twice the symmetric matrix; 2 is the constant polynomial, code 2
+    return _elements(spec, _scale(spec, _mat_vec(symmetric_matrix(conic), p.codes), 2))
 
 
 def tangent_at(conic: Conic, p: ProjPoint) -> ProjLine:
@@ -190,10 +170,26 @@ def tangent_at(conic: Conic, p: ProjPoint) -> ProjLine:
 
 
 def line_conic_intersect(conic: Conic, l: ProjLine) -> list:
-    """Points of the line on the conic, sorted in plane enumeration order."""
-    hits = [p for p in line_span_points(l) if conic.evaluate(p).is_zero()]
-    hits.sort(key=point_sort_key)
-    return hits
+    """Points of the line on the conic, sorted in plane enumeration order.
+
+    The line's q+1 points are listed on codes, canonical and in that order as
+    in `Plane.__init__`, and the form is tested at each: no plane is built.
+    """
+    spec = conic.spec
+    _same_field("conic and line", spec, l.spec)
+    a, b, c = l.codes
+    m1 = spec.p - 1  # the code of -1, the constant polynomial p - 1
+    if c or b:
+        # -a/w and -b/w, for w = c or, when c = 0, w = b
+        na, nb = _scale(spec, _scale(spec, (a, b), m1), _inv(spec, c or b))
+    if c:
+        pts = [(1, y, _dot(spec, (na, nb), (1, y))) for y in range(spec.q)] + [(0, 1, nb)]
+    elif b:
+        pts = [(1, na, z) for z in range(spec.q)] + [(0, 0, 1)]
+    else:
+        pts = [(0, 1, z) for z in range(spec.q)] + [(0, 0, 1)]
+    u = upper_matrix(conic)
+    return [ProjPoint._of(spec, v) for v in pts if not _dot(spec, v, _mat_vec(u, v))]
 
 
 def combinatorial_tangents(conic: Conic, p: ProjPoint) -> list:
@@ -281,14 +277,8 @@ def is_nondegenerate(conic: Conic) -> NondegeneracyReport:
 
 def upper_matrix(conic: Conic) -> Mat:
     """Upper-triangular matrix U with f(v) = v^T U v; valid in any characteristic."""
-    spec = conic.spec
-    zero = spec.zero()
-    a, b, c, d, e, f = conic.coeffs
-    return Mat.from_rows([
-        (a, d, e),
-        (zero, b, f),
-        (zero, zero, c),
-    ])
+    a, b, c, d, e, f = conic.codes
+    return Mat._of(conic.spec, 3, 3, (a, d, e, 0, b, f, 0, 0, c))
 
 
 def symmetric_matrix(conic: Conic) -> Mat:
@@ -296,13 +286,9 @@ def symmetric_matrix(conic: Conic) -> Mat:
     spec = conic.spec
     if spec.p == 2:
         raise EvenCharacteristic("the symmetric matrix needs odd characteristic")
-    half = spec.element(2).inv()
-    a, b, c, d, e, f = conic.coeffs
-    return Mat.from_rows([
-        (a, half * d, half * e),
-        (half * d, b, half * f),
-        (half * e, half * f, c),
-    ])
+    a, b, c, d, e, f = conic.codes
+    hd, he, hf = _scale(spec, (d, e, f), _inv(spec, 2))
+    return Mat._of(spec, 3, 3, (a, hd, he, hd, b, hf, he, hf, c))
 
 
 def transform_conic(t: Collineation, conic: Conic) -> Conic:
@@ -311,14 +297,14 @@ def transform_conic(t: Collineation, conic: Conic) -> Conic:
     Contract: p lies on the input conic iff t.apply(p) lies on the result.
     Uses the substitution x -> S x with S the inverse matrix of t, folding
     S^T U S back to the 6 coefficients, so it works in every characteristic.
+    With W = U S, entry B_ij of B = S^T U S is (column i of S) . (column j
+    of W), so each folded B_ij + B_ji is one code dot product of length 6.
     """
+    spec = conic.spec
     s = t.inverse().matrix
-    b = s.transpose() @ upper_matrix(conic) @ s
-    return Conic((
-        b.at(0, 0),
-        b.at(1, 1),
-        b.at(2, 2),
-        b.at(0, 1) + b.at(1, 0),
-        b.at(0, 2) + b.at(2, 0),
-        b.at(1, 2) + b.at(2, 1),
-    ))
+    s_cols, w_cols = _rows(s.transpose()), _rows((upper_matrix(conic) @ s).transpose())
+    codes = tuple([_dot(spec, s_cols[i], w_cols[i]) for i in range(3)] + [
+        _dot(spec, s_cols[i] + s_cols[j], w_cols[j] + w_cols[i])
+        for i, j in ((0, 1), (0, 2), (1, 2))
+    ])
+    return Conic._of(spec, _canonical_codes(spec, codes, _ALL_ZERO))

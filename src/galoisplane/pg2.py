@@ -8,9 +8,12 @@ from codes already canonical.  `coords` and `coeffs` are read-only views of
 the codes as the field's elements.  A point (a, b, c) lies on a line
 [u, v, w] iff the dot product vanishes, and three points are collinear iff
 a . (b x c) does; `incident` and `collinear` compute both on the codes with
-the field's log/antilog/Zech kernel, which serves every field order.  Joins
-and meets stay nullspaces of the 2x3 matrix whose rows are the two given
-triples, because perfbench's tracer test pins one join to one nullspace call.
+the dot and cross products of `linalg`, which run on the field's
+log/antilog/Zech kernel and so serve every field order.  Collineations act on
+codes too, and `apply` and `apply_line` rescale their images with the
+constructors' own routine, `_canonical_codes`.  Joins and meets stay
+nullspaces of the 2x3 matrix whose rows are the two given triples, because
+perfbench's tracer test pins one join to one nullspace call.
 
 Plane enumeration order is fixed: points (1, y, z) with y then z running
 through the field's code order, then (0, 1, z), then (0, 0, 1); lines use the
@@ -33,7 +36,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, combinations
 
 from .errors import (
     BoundExceeded,
@@ -45,14 +48,17 @@ from .errors import (
     ZeroVector,
 )
 from .gf import FieldSpec
-from .linalg import Mat, det3, inverse3, mat_vec, nullspace
+from .linalg import Mat, det3, inverse3, nullspace
+from .linalg import _codes, _cross, _dot, _elements, _inv, _mat_vec, _rows, _same_field, _scale
 
 PLANE_MAX_ORDER = 128
 
 
-def _canonical_codes(v, n: int, noun: str = "coordinates",
-                     zero: str = "the zero vector has no canonical form") -> tuple:
-    """(spec, codes) of n field elements scaled so the first nonzero entry is 1.
+_NO_CANONICAL_FORM = "the zero vector has no canonical form"
+
+
+def _element_codes(v, n: int, noun: str = "coordinates", zero: str = _NO_CANONICAL_FORM) -> tuple:
+    """(spec, canonical codes) of n field elements over one field.
 
     Raises ZeroVector for a wrong count or an all-zero input and SpecMismatch
     for entries over different fields; `noun` and `zero` word the messages.
@@ -61,20 +67,20 @@ def _canonical_codes(v, n: int, noun: str = "coordinates",
     if len(v) != n:
         raise ZeroVector(f"expected {n} {noun}, got {len(v)}")
     spec = v[0].spec
-    for x in v:
-        if x.spec is not spec and x.spec != spec:
-            raise SpecMismatch(f"{noun} from different field specs")
-    for x in v:
-        if x.code:
-            if x.code != 1:
-                s = x.inv()
-                v = tuple(s * y for y in v)
-            return spec, tuple(y.code for y in v)
+    return spec, _canonical_codes(spec, _codes(spec, v, noun), zero)
+
+
+def _canonical_codes(spec: FieldSpec, codes: tuple, zero: str = _NO_CANONICAL_FORM) -> tuple:
+    """The codes scaled so the first nonzero entry is 1; ZeroVector, worded by
+    `zero`, for an all-zero input."""
+    for x in codes:
+        if x:
+            return codes if x == 1 else _scale(spec, codes, _inv(spec, x))
     raise ZeroVector(zero)
 
 
-class _CodeTriple:
-    """A field spec and a canonical code triple: the body of points and lines.
+class _Codes:
+    """A field spec and canonical codes: the body of points, lines and conics.
 
     Equality and hashing are by the codes, and equal codes over different
     fields stay unequal.  A point never equals a line.
@@ -84,16 +90,14 @@ class _CodeTriple:
 
     @classmethod
     def _of(cls, spec: FieldSpec, codes: tuple):
-        """The object of a code triple known to be canonical; no checks."""
+        """The object of a code tuple known to be canonical; no checks."""
         t = cls.__new__(cls)
         t.spec = spec
         t.codes = codes
         return t
 
     def _elements(self) -> tuple:
-        elems = self.spec.elements()
-        a, b, c = self.codes
-        return elems[a], elems[b], elems[c]
+        return _elements(self.spec, self.codes)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -112,28 +116,28 @@ class _CodeTriple:
         return f"{type(self).__name__}({self.to_text()} over GF({self.spec.q}))"
 
 
-class ProjPoint(_CodeTriple):
+class ProjPoint(_Codes):
     """A point of PG(2, q): the canonical code triple of its coordinates."""
 
     __slots__ = ()
     _tag = "pt"
 
     def __init__(self, coords):
-        self.spec, self.codes = _canonical_codes(coords, 3)
+        self.spec, self.codes = _element_codes(coords, 3)
 
-    coords = property(_CodeTriple._elements, doc="The coordinates as field elements.")
+    coords = property(_Codes._elements, doc="The coordinates as field elements.")
 
 
-class ProjLine(_CodeTriple):
+class ProjLine(_Codes):
     """A line of PG(2, q): the canonical code triple of its coefficients [u:v:w]."""
 
     __slots__ = ()
     _tag = "ln"
 
     def __init__(self, coeffs):
-        self.spec, self.codes = _canonical_codes(coeffs, 3)
+        self.spec, self.codes = _element_codes(coeffs, 3)
 
-    coeffs = property(_CodeTriple._elements, doc="The coefficients as field elements.")
+    coeffs = property(_Codes._elements, doc="The coefficients as field elements.")
 
 
 def canonicalize(v) -> ProjPoint:
@@ -145,44 +149,8 @@ def canonicalize_line(v) -> ProjLine:
     return v if isinstance(v, ProjLine) else ProjLine(v)
 
 
-def _log_sum(kernel, logs) -> int:
-    """Code of the sum of g^t over the logs t, by __add__'s Zech step per term."""
-    antilog, _, zech, _ = kernel
-    n = len(zech)
-    acc = -1  # log of the partial sum; -1 while it is zero
-    for t in logs:
-        if acc < 0:
-            acc = t
-        else:
-            z = zech[(t - acc) % n]
-            acc = acc + z if z >= 0 else -1
-    return antilog[acc % n] if acc >= 0 else 0
-
-
-def _dot(spec: FieldSpec, u, v) -> int:
-    """Code of the dot product of two code triples; products are log sums."""
-    kernel = spec._kernel or spec._build_kernel()
-    log = kernel[1]
-    return _log_sum(kernel, [log[a] + log[b] for a, b in zip(u, v) if a and b])
-
-
-def _cross(spec: FieldSpec, u, v) -> tuple:
-    """Code triple of the cross product u x v of two code triples."""
-    kernel = spec._kernel or spec._build_kernel()
-    log, log_m1 = kernel[1], kernel[3]
-    out = []
-    for i, j in ((1, 2), (2, 0), (0, 1)):
-        # u_i v_j - u_j v_i, the minus a factor g^log(-1)
-        logs = [log[u[i]] + log[v[j]]] if u[i] and v[j] else []
-        if u[j] and v[i]:
-            logs.append(log[u[j]] + log[v[i]] + log_m1)
-        out.append(_log_sum(kernel, logs))
-    return tuple(out)
-
-
 def incident(p: ProjPoint, l: ProjLine) -> bool:
-    if l.spec is not p.spec and l.spec != p.spec:
-        raise SpecMismatch("point and line from different field specs")
+    _same_field("point and line", p.spec, l.spec)
     return not _dot(p.spec, p.codes, l.codes)
 
 
@@ -190,7 +158,8 @@ def join(p: ProjPoint, r: ProjPoint) -> ProjLine:
     """The unique line through two distinct points (2x3 nullspace)."""
     if p == r:
         raise EqualPoints(f"join needs distinct points, got {p.to_text()} twice")
-    basis = nullspace(Mat.from_rows([p.coords, r.coords]))
+    _same_field("points", p.spec, r.spec)
+    basis = nullspace(Mat._of(p.spec, 2, 3, p.codes + r.codes))
     if len(basis) != 1:
         raise EqualPoints("points do not span a line")
     a, b, c = basis[0]
@@ -201,7 +170,8 @@ def meet(l: ProjLine, m: ProjLine) -> ProjPoint:
     """The unique common point of two distinct lines (2x3 nullspace, dually)."""
     if l == m:
         raise EqualLines(f"meet needs distinct lines, got {l.to_text()} twice")
-    basis = nullspace(Mat.from_rows([l.coeffs, m.coeffs]))
+    _same_field("lines", l.spec, m.spec)
+    basis = nullspace(Mat._of(l.spec, 2, 3, l.codes + m.codes))
     if len(basis) != 1:
         raise EqualLines("lines do not meet in a single point")
     a, b, c = basis[0]
@@ -212,8 +182,7 @@ def collinear(a: ProjPoint, b: ProjPoint, c: ProjPoint) -> bool:
     """True iff the three points lie on one line (repeats count as collinear),
     that is iff the code determinant a . (b x c) vanishes."""
     spec = a.spec
-    if not (spec is b.spec is c.spec or spec == b.spec == c.spec):
-        raise SpecMismatch("points from different field specs")
+    _same_field("points", spec, b.spec, c.spec)
     return not _dot(spec, a.codes, _cross(spec, b.codes, c.codes))
 
 
@@ -428,19 +397,8 @@ def verify_axioms(spec: FieldSpec, *, max_order: int = 13) -> AxiomReport:
     joins_unique = _meet_pairwise_once(pl.point_lines)
     meets_unique = _meet_pairwise_once(pl.line_points)
 
-    one, zero = spec.one(), spec.zero()
-    quad = [
-        ProjPoint((one, zero, zero)),
-        ProjPoint((zero, one, zero)),
-        ProjPoint((zero, zero, one)),
-        ProjPoint((one, one, one)),
-    ]
-    quadrilateral_ok = True
-    for i in range(4):
-        for j in range(i + 1, 4):
-            for t in range(j + 1, 4):
-                if collinear(quad[i], quad[j], quad[t]):
-                    quadrilateral_ok = False
+    quad = [ProjPoint._of(spec, v) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))]
+    quadrilateral_ok = not any(collinear(*t) for t in combinations(quad, 3))
 
     return AxiomReport(
         q=q,
@@ -493,12 +451,14 @@ class Collineation:
         return self._inv
 
     def apply(self, p: ProjPoint) -> ProjPoint:
-        return ProjPoint(mat_vec(self.matrix, p.coords))
+        _same_field("collineation and point", self.matrix.spec, p.spec)
+        return ProjPoint._of(p.spec, _canonical_codes(p.spec, _mat_vec(self.matrix, p.codes)))
 
     def apply_line(self, l: ProjLine) -> ProjLine:
         if self._inv_t is None:
             self._inv_t = self.inverse().matrix.transpose()
-        return ProjLine(mat_vec(self._inv_t, l.coeffs))
+        _same_field("collineation and line", self._inv_t.spec, l.spec)
+        return ProjLine._of(l.spec, _canonical_codes(l.spec, _mat_vec(self._inv_t, l.codes)))
 
     def __matmul__(self, other: "Collineation") -> "Collineation":
         if not isinstance(other, Collineation):
@@ -516,24 +476,25 @@ def frame_transform(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint) -> C
     the rescaled matrix is inverted by rescaling the rows of [a|b|c]^-1.  The
     rescaled matrix itself is the result's inverse, set so that `inverse()`
     runs no inverse3.  The four points must be in general position (no three
-    collinear).
+    collinear).  All of it runs on codes.
     """
-    m = Mat.from_rows(zip(a.coords, b.coords, c.coords))
+    spec = a.spec
+    _same_field("frame points", spec, b.spec, c.spec, d.spec)
+    # [a|b|c] transposed has rows a, b, c
     try:
-        m_inv = inverse3(m)
+        m_inv = inverse3(Mat._of(spec, 3, 3, a.codes + b.codes + c.codes).transpose())
     except Singular:
         raise DegenerateFrame("first three frame points are collinear") from None
-    lam = mat_vec(m_inv, d.coords)
-    if any(x.is_zero() for x in lam):
+    lam = _mat_vec(m_inv, d.codes)
+    if not all(lam):
         raise DegenerateFrame("fourth frame point lies on a side of the base triangle")
     # (m diag(lam))^-1 = diag(lam)^-1 m^-1: row i of m_inv scaled by 1/lam_i;
-    # column j of m scaled by lam_j gives m diag(lam) itself
-    t = Collineation._trusted(Mat.from_rows(
-        [x / lam[i] for x in m_inv.row(i)] for i in range(3)
-    ))
-    t._inv = Collineation._trusted(Mat.from_rows(
-        [x * lam[j] for j, x in enumerate(m.row(i))] for i in range(3)
-    ))
+    # column j of m scaled by lam_j gives m diag(lam) itself, and column j of
+    # m is the j-th frame point
+    t = Collineation._trusted(Mat._of(spec, 3, 3, tuple(chain.from_iterable(
+        _scale(spec, r, _inv(spec, x)) for r, x in zip(_rows(m_inv), lam)))))
+    t._inv = Collineation._trusted(Mat._of(spec, 3, 3, tuple(chain.from_iterable(
+        _scale(spec, v.codes, x) for v, x in zip((a, b, c), lam)))).transpose())
     t._inv._inv = t
     return t
 
@@ -547,7 +508,7 @@ def _code_map(m: Mat):
     op-table cap (q = 512).
     """
     add, mul, _, _ = m.spec.op_tables()
-    r00, r01, r02, r10, r11, r12, r20, r21, r22 = (mul[x.code] for x in m.entries)
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = (mul[x] for x in m.codes)
 
     def image(x: int, y: int, z: int) -> tuple:
         return (
@@ -557,30 +518,6 @@ def _code_map(m: Mat):
         )
 
     return image
-
-
-def line_span_points(l: ProjLine) -> list[ProjPoint]:
-    """The q+1 points of a line, by explicit parametrization of its span."""
-    spec = l.spec
-    a, b, c = l.coeffs
-    zero, one = spec.zero(), spec.one()
-    if not c.is_zero():
-        ic = c.inv()
-        s1 = (one, zero, -(ic * a))
-        s2 = (zero, one, -(ic * b))
-    elif not b.is_zero():
-        ib = b.inv()
-        s1 = (one, -(ib * a), zero)
-        s2 = (zero, zero, one)
-    else:
-        s1 = (zero, one, zero)
-        s2 = (zero, zero, one)
-    pts = []
-    for t in spec.elements():
-        combo = (s1[0] + t * s2[0], s1[1] + t * s2[1], s1[2] + t * s2[2])
-        pts.append(ProjPoint(combo))
-    pts.append(ProjPoint(s2))
-    return pts
 
 
 def parse_point(spec: FieldSpec, text: str) -> ProjPoint:

@@ -55,7 +55,7 @@ from .errors import (
     VerificationFailed,
 )
 from .gf import FieldSpec
-from .linalg import Mat, nullspace
+from .linalg import Mat, _rows, _scale, nullspace
 from .pg2 import (
     Collineation,
     ProjLine,
@@ -318,10 +318,7 @@ def lemma_of_tangents(frame: TangentFrame) -> LemmaResult:
     s1 = ProjPoint((k3, one, k2 * k3))
     s2 = ProjPoint((k1 * k3, k1, one))
     s3 = ProjPoint((one, k1 * k2, k2))
-    zero = spec.zero()
-    e1 = ProjPoint((one, zero, zero))
-    e2 = ProjPoint((zero, one, zero))
-    e3 = ProjPoint((zero, zero, one))
+    e1, e2, e3 = (ProjPoint._of(spec, v) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
     closed = ProjPoint((one, k1 * k2, -k2))
     computed = perspective_center((e1, e2, e3), (s1, s2, s3))
@@ -364,12 +361,14 @@ def normalize_tangents(frame: TangentFrame) -> TangentFrame:
     d1/d2 respectively.
     """
     spec = frame.spec
-    k1, k2, k3 = frame.slopes
-    minus_one = -spec.one()
-    if k1 * k2 * k3 != minus_one:
+    k1, k2, k3 = (k.code for k in frame.slopes)
+    m1 = spec.p - 1  # the code of -1, the constant polynomial p - 1
+    minus_k3, k1k3 = _scale(spec, (m1, k1), k3)
+    if _scale(spec, (k1k3,), k2) != (m1,):
         raise RelationViolated("slope product is not -1; frame is inconsistent")
-    d = Collineation.diagonal((spec.one(), -k3, k1 * k3))
-    combined = d @ frame.transform
+    d = Mat._of(spec, 3, 3, (1, 0, 0, 0, minus_k3, 0, 0, 0, k1k3))
+    combined = Collineation._trusted(d @ frame.transform.matrix)
+    minus_one = spec.from_int(m1)
     new_frame = TangentFrame(
         oval=frame.oval,
         base=frame.base,
@@ -382,8 +381,7 @@ def normalize_tangents(frame: TangentFrame) -> TangentFrame:
 
 def frame_conic(spec: FieldSpec) -> Conic:
     """x1*x2 + x2*x3 + x3*x1, the conic with all frame tangent slopes -1."""
-    zero, one = spec.zero(), spec.one()
-    return Conic((zero, zero, zero, one, one, one))
+    return Conic._of(spec, (0, 0, 0, 1, 1, 1))
 
 
 def _monomial_row(p: ProjPoint):
@@ -560,9 +558,7 @@ def reconstruct_conic(oval: Arc, base=None) -> tuple:
         field=spec.to_text(),
         oval=tuple(p.to_text() for p in oval.points),
         base_triple=tuple(p.to_text() for p in frame0.base),
-        frame_matrix=tuple(
-            tuple(t.matrix.at(i, j).to_int() for j in range(3)) for i in range(3)
-        ),
+        frame_matrix=tuple(_rows(t.matrix)),
         slopes=tuple(k.to_int() for k in frame0.slopes),
         conic=conic.to_ints(),
         oracle_conic=oracle.to_ints(),

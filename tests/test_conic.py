@@ -31,11 +31,14 @@ from galoisplane.linalg import Mat
 from galoisplane.errors import Singular
 from galoisplane.pg2 import (
     Collineation,
+    ProjLine,
+    ProjPoint,
     canonicalize,
     incident,
     iter_points,
     meet,
     plane,
+    point_sort_key,
 )
 
 
@@ -279,6 +282,65 @@ def test_line_conic_intersect_brute_force():
             key=lambda p: pl.point_index[p],
         )
         assert line_conic_intersect(c, l) == want
+
+
+def _line_points_by_cross(l):
+    """The q+1 points of l as its meets l x m with the lines m through a
+    base point e_i off l, on elements: an enumeration independent of the
+    library's parametrization of a line."""
+    spec = l.spec
+    one, zero = spec.one(), spec.zero()
+    i = next(n for n, x in enumerate(l.coeffs) if not x.is_zero())
+    j, k = (n for n in range(3) if n != i)
+    u = l.coeffs
+    pts = []
+    for t in list(spec.elements()) + [None]:
+        m = [zero, zero, zero]
+        m[j], m[k] = (zero, one) if t is None else (one, t)
+        pts.append(ProjPoint((
+            u[1] * m[2] - u[2] * m[1],
+            u[2] * m[0] - u[0] * m[2],
+            u[0] * m[1] - u[1] * m[0],
+        )))
+    return pts
+
+
+@pytest.mark.parametrize("p, k", [(3, 2), (2, 3), (131, 1), (2, 8), (3, 5)])
+def test_line_conic_intersect_above_the_plane_cap(p, k):
+    """Without a plane, at and above PLANE_MAX_ORDER = 128 too: the hits on
+    seeded random lines, on lines through two conic points, and on a line
+    lying in a line-pair conic, against an element evaluation at each point
+    of the line."""
+    spec = make_field(p, k)
+    q = spec.q
+    rng = random.Random(q)
+    one = spec.one()
+
+    def element():
+        return spec.from_int(rng.choice((0, 1, rng.randrange(q))))
+
+    def form(conic, pt):
+        a, b, c, d, e, f = conic.coeffs
+        x, y, z = pt.coords
+        return a * x * x + b * y * y + c * z * z + d * x * y + e * x * z + f * y * z
+
+    u = (one, element(), element())
+    v = (element(), one, element())
+    pair = Conic((u[0] * v[0], u[1] * v[1], u[2] * v[2],
+                  u[0] * v[1] + u[1] * v[0], u[0] * v[2] + u[2] * v[0],
+                  u[1] * v[2] + u[2] * v[1]))
+    conics = [Conic((one, element(), element(), element(), element(), element())), pair]
+    lines = [ProjLine(u)] + [ProjLine((element(), element(), one)) for _ in range(12)]
+    lines += [ProjLine((element(), one, spec.zero())), ProjLine((one, spec.zero(), spec.zero()))]
+    sizes = set()
+    for conic in conics:
+        for l in lines:
+            want = sorted((x for x in _line_points_by_cross(l) if form(conic, x).is_zero()),
+                          key=point_sort_key)
+            got = line_conic_intersect(conic, l)
+            assert got == want, (conic, l)
+            sizes.add(len(got))
+    assert q + 1 in sizes and len(sizes) > 1
 
 
 def test_combinatorial_tangents_match_gradient():
