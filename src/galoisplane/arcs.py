@@ -13,7 +13,7 @@ emitted straight from the candidate mask.  Plane index order is the
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 
 from .errors import BoundExceeded, EqualPoints, Degenerate, PointNotOnArc
 from .gf import FieldSpec
@@ -34,11 +34,17 @@ def is_arc(points) -> tuple:
 
     The witness is the first equal pair, else the first collinear triple, in
     `itertools.combinations` order over the input positions.  Up to
-    PLANE_MAX_ORDER each point is looked up in the cached plane, and
-    collinearity is read off the plane's per-line masks of input positions:
-    a line holding three or more carries a collinear triple, its three
-    lowest positions first.  Above that order no plane exists, and every
-    pair is compared and every triple's determinant tested.
+    PLANE_MAX_ORDER each point is looked up in the cached plane, and one
+    C-level pass, the set of lines through the points, decides arc-ness.
+    For n distinct points with m_l of them on line l, each pair lies on one
+    line, so the sum of C(m_l, 2) is C(n, 2), while the lines met number
+    n(q + 1) minus the sum of (m_l - 1).  As m - 1 <= C(m, 2), with equality
+    iff m <= 2, the lines met number n(q + 1) - C(n, 2) exactly when no line
+    holds three of the points.  Only when one does are the plane's per-line
+    masks of input positions built for the witness: a line holding three or
+    more carries a collinear triple, its three lowest positions first.
+    Above that order no plane exists, and every pair is compared and every
+    triple's determinant tested.
     """
     pts = list(points)
     if not pts:
@@ -50,14 +56,18 @@ def is_arc(points) -> tuple:
 
     pl = plane(spec)
     indices = [pl.index(p) for p in pts]
-    first_pos = {}
-    duplicate = None
-    for pos, i in enumerate(indices):
-        first = first_pos.setdefault(i, pos)
-        if first != pos and (duplicate is None or first < duplicate[0]):
-            duplicate = (first, pos)
-    if duplicate is not None:
+    if len(set(indices)) != len(indices):
+        first_pos = {}
+        duplicate = None
+        for pos, i in enumerate(indices):
+            first = first_pos.setdefault(i, pos)
+            if first != pos and (duplicate is None or first < duplicate[0]):
+                duplicate = (first, pos)
         return False, (pts[duplicate[0]], pts[duplicate[1]])
+    n = len(indices)
+    lines_met = len(set(chain.from_iterable(pl.point_lines[i] for i in indices)))
+    if lines_met == n * (spec.q + 1) - n * (n - 1) // 2:
+        return True, None
 
     witness = None
     for m in pl.line_hits(indices).values():
@@ -70,9 +80,7 @@ def is_arc(points) -> tuple:
             lowest = tuple(lowest)
             if witness is None or lowest < witness:
                 witness = lowest
-    if witness is not None:
-        return False, tuple(pts[k] for k in witness)
-    return True, None
+    return False, tuple(pts[k] for k in witness)
 
 
 def _is_arc_by_determinants(pts: list) -> tuple:
@@ -87,9 +95,15 @@ def _is_arc_by_determinants(pts: list) -> tuple:
 
 
 class Arc:
-    """An arc, held as a tuple of canonical points in plane enumeration order."""
+    """An arc, held as a tuple of canonical points in plane enumeration order.
 
-    __slots__ = ("points",)
+    `_frame` is a one-slot memo for `segre.tangent_frame`: the base, transform,
+    slopes and tangents of the last frame built on this arc, or None.  It holds
+    the parts rather than the frame, which refers back to the arc, and equality,
+    hashing and pickling ignore it.
+    """
+
+    __slots__ = ("points", "_frame")
 
     def __init__(self, points, *, _trusted: bool = False):
         pts = tuple(points)
@@ -106,13 +120,22 @@ class Arc:
                     + " ".join(p.to_text() for p in witness)
                 )
         self.points = tuple(sorted(pts, key=point_sort_key))
+        self._frame = None
 
     @classmethod
     def _from_sorted(cls, points: tuple) -> "Arc":
         """An Arc of points already canonical, sorted and known to be an arc."""
         arc = cls.__new__(cls)
         arc.points = points
+        arc._frame = None
         return arc
+
+    def __getstate__(self):
+        return self.points
+
+    def __setstate__(self, points):
+        self.points = points
+        self._frame = None
 
     @property
     def spec(self) -> FieldSpec:

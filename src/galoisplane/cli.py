@@ -206,13 +206,10 @@ def _cmd_segre_verify(args) -> int:
     if args.samples is None:
         # exhaustive: every maximal oval found by search is reconstructed
         ovals = search_maximal_arcs(spec, spec.q + 1, max_order=args.max_order)
-        checked = 0
+        # reconstruct_conic raises VerificationFailed on any failed check
         for oval in ovals:
-            conic, cert = reconstruct_conic(oval)
-            if not (cert.identities_ok and cert.all_points_ok):
-                raise InternalCheckFailed("certificate verification failed")
-            checked += 1
-        payload.update({"mode": "exhaustive", "ovals": len(ovals), "ok": checked})
+            reconstruct_conic(oval)
+        payload.update({"mode": "exhaustive", "ovals": len(ovals), "ok": len(ovals)})
     else:
         rng = random.Random(args.seed)
         oval = Arc(parse_conic(spec, _STANDARD_CONIC).variety(), _trusted=True)

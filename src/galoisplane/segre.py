@@ -26,6 +26,15 @@ the op tables, and its image is never scaled to canonical form.  The slopes
 are ratios of its coordinates, and the containment check and the tangent
 cross identities are homogeneous in the point (and in its tangent), so a
 nonzero scalar changes none of them.
+
+An `Arc` keeps the last frame `tangent_frame` built on it, for one base, so
+the chain tangent_frame -> lemma_of_tangents -> reconstruct_conic on one arc
+and base scans the oval once.  The lemma's tangent triangle, centres and
+pencil lines, and the fit oracles' monomial rows and pencil members, are
+built from codes on the field's log/antilog/Zech kernel, at every field
+order.  The only element arithmetic left on the way is row reduction: the
+fit's nullspace, and the joins and meets by which `perspective_center`
+computes the lemma's centre independently of its closed form.
 """
 
 from __future__ import annotations
@@ -55,11 +64,12 @@ from .errors import (
     VerificationFailed,
 )
 from .gf import FieldSpec
-from .linalg import Mat, _rows, _scale, nullspace
+from .linalg import Mat, _dot, _rows, _scale, nullspace
 from .pg2 import (
     Collineation,
     ProjLine,
     ProjPoint,
+    _canonical_codes,
     _code_map,
     collinear,
     frame_transform,
@@ -203,13 +213,11 @@ class TangentFrame:
         return self.oval.spec
 
 
-def _pencil_line(spec: FieldSpec, which: int, slope) -> ProjLine:
-    zero, one = spec.zero(), spec.one()
-    if which == 1:
-        return ProjLine((zero, one, -slope))
-    if which == 2:
-        return ProjLine((-slope, zero, one))
-    return ProjLine((one, -slope, zero))
+def _pencil_line(spec: FieldSpec, which: int, slope: int) -> ProjLine:
+    """The line of slope code `slope` in the pencil through e_which."""
+    (minus,) = _scale(spec, (slope,), spec.p - 1)  # p - 1 is the code of -1
+    codes = ((0, 1, minus), (minus, 0, 1), (1, minus, 0))[which - 1]
+    return ProjLine._of(spec, _canonical_codes(spec, codes))
 
 
 def tangent_frame(oval: Arc, base) -> TangentFrame:
@@ -222,6 +230,10 @@ def tangent_frame(oval: Arc, base) -> TangentFrame:
     q <= 128, so only a trusted `Arc` can get there.  A non-base point on a
     side of the base triangle (possible only for a trusted `Arc` that is no
     arc) has a zero frame coordinate and raises DivisionByZero.
+
+    The arc memoises the last frame built on it: called again with the same
+    base, this runs the argument checks and returns an equal frame without
+    a second scan.  A scan that raises leaves the memo as it was.
     """
     spec = oval.spec
     q = spec.q
@@ -235,6 +247,10 @@ def tangent_frame(oval: Arc, base) -> TangentFrame:
     for b in base:
         if b not in oval.points:
             raise PointsNotOnOval(f"base point {b.to_text()} is not on the oval")
+    memo = oval._frame
+    if memo is not None and memo[0] == base:
+        _, t0, slopes, tangents = memo
+        return TangentFrame(oval=oval, base=base, transform=t0, slopes=slopes, tangents=tangents)
 
     _, mul, neg, inv = spec.op_tables()
 
@@ -265,12 +281,13 @@ def tangent_frame(oval: Arc, base) -> TangentFrame:
     product = mul[mul[slopes[0]][slopes[1]]][slopes[2]]
     if product != neg[1]:
         raise SegreRelationViolated(f"slope product {product} is not -1")
-    slopes = tuple(spec.from_int(k) for k in slopes)
 
     t0_inv = t0.inverse()
     tangents = tuple(
-        t0_inv.apply_line(_pencil_line(spec, i + 1, slopes[i])) for i in range(3)
+        t0_inv.apply_line(_pencil_line(spec, i + 1, k)) for i, k in enumerate(slopes)
     )
+    slopes = tuple(spec.from_int(k) for k in slopes)
+    oval._frame = (base, t0, slopes, tangents)
     return TangentFrame(
         oval=oval, base=base, transform=t0, slopes=slopes, tangents=tangents
     )
@@ -312,30 +329,36 @@ def lemma_of_tangents(frame: TangentFrame) -> LemmaResult:
     the relation.
     """
     spec = frame.spec
-    k1, k2, k3 = frame.slopes
-    one = spec.one()
+    k1, k2, k3 = (k.code for k in frame.slopes)
+    k1k2, k1k3 = _scale(spec, (k2, k3), k1)
+    (k2k3,) = _scale(spec, (k3,), k2)
+    minus = _scale(spec, (k1, k2, k3), spec.p - 1)  # p - 1 is the code of -1
+
+    def point(*codes) -> ProjPoint:
+        return ProjPoint._of(spec, _canonical_codes(spec, codes))
+
     # vertices of the tangent triangle, s_i opposite the base point e_i
-    s1 = ProjPoint((k3, one, k2 * k3))
-    s2 = ProjPoint((k1 * k3, k1, one))
-    s3 = ProjPoint((one, k1 * k2, k2))
+    s1 = point(k3, 1, k2k3)
+    s2 = point(k1k3, k1, 1)
+    s3 = point(1, k1k2, k2)
     e1, e2, e3 = (ProjPoint._of(spec, v) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
-    closed = ProjPoint((one, k1 * k2, -k2))
+    closed = point(1, k1k2, minus[1])
     computed = perspective_center((e1, e2, e3), (s1, s2, s3))
     if computed is None or computed != closed:
         raise SegreRelationViolated(
             "closed-form perspective center disagrees with the computed one"
         )
-    joins = tuple(_pencil_line(spec, i + 1, -k) for i, k in enumerate((k1, k2, k3)))
+    joins = tuple(_pencil_line(spec, i + 1, mk) for i, mk in enumerate(minus))
     for ln in joins:
         if not incident(closed, ln):
             raise SegreRelationViolated("center is off one of the vertex joins")
 
-    reciprocal = ProjPoint((one, -k3, k1 * k3))
+    reciprocal = point(1, minus[2], k1k3)
     reciprocal_lines = (
-        _pencil_line(spec, 1, k2 * k3),
-        _pencil_line(spec, 2, k1 * k3),
-        _pencil_line(spec, 3, k1 * k2),
+        _pencil_line(spec, 1, k2k3),
+        _pencil_line(spec, 2, k1k3),
+        _pencil_line(spec, 3, k1k2),
     )
     for ln in reciprocal_lines:
         if not incident(reciprocal, ln):
@@ -384,9 +407,16 @@ def frame_conic(spec: FieldSpec) -> Conic:
     return Conic._of(spec, (0, 0, 0, 1, 1, 1))
 
 
-def _monomial_row(p: ProjPoint):
-    x, y, z = p.coords
-    return (x * x, y * y, z * z, x * y, x * z, y * z)
+def _monomial_matrix(spec: FieldSpec, points) -> Mat:
+    """One row of monomial codes (x^2, y^2, z^2, xy, xz, yz) per point, each
+    a product on the field's log/antilog kernel, so at every field order."""
+    antilog, log, _, _ = spec._kernel or spec._build_kernel()
+    codes = []
+    for p in points:
+        lx, ly, lz = (log[c] for c in p.codes)  # log[0] is -1
+        codes += [antilog[a + b] if a >= 0 and b >= 0 else 0 for a, b in
+                  ((lx, lx), (ly, ly), (lz, lz), (lx, ly), (lx, lz), (ly, lz))]
+    return Mat._of(spec, len(points), 6, tuple(codes))
 
 
 def fit_conic_nullspace(points) -> Conic:
@@ -404,8 +434,7 @@ def fit_conic_nullspace(points) -> Conic:
         raise UnderDetermined(f"need at least 5 distinct points, got {len(pts)}")
     if not is_arc(pts)[0]:
         raise UnderDetermined("three of the points are collinear; no unique conic")
-    rows = [_monomial_row(p) for p in pts]
-    basis = nullspace(Mat.from_rows(rows))
+    basis = nullspace(_monomial_matrix(pts[0].spec, pts))
     if len(basis) == 0:
         raise Inconsistent("no conic passes through all the given points")
     if len(basis) > 1:
@@ -424,17 +453,17 @@ def _pencil_oracle(points) -> Conic:
     if len(pts) != 4:
         raise UnderDetermined(f"pencil oracle needs exactly 4 points, got {len(pts)}")
     spec = pts[0].spec
-    rows = [_monomial_row(p) for p in pts]
-    basis = nullspace(Mat.from_rows(rows))
+    basis = nullspace(_monomial_matrix(spec, pts))
     if len(basis) != 2:
         raise UnderDetermined("expected a pencil of conics through 4 points")
-    f, g = basis
+    f, g = ([x.code for x in v] for v in basis)
     members = []
-    for t in spec.elements():
-        coeffs = tuple(f[i] + t * g[i] for i in range(6))
-        if any(not c.is_zero() for c in coeffs):
-            members.append(Conic(coeffs))
-    members.append(Conic(g))
+    for t in range(spec.q):
+        # f + t*g, a coefficient at a time as the dot product (f_i, g_i) . (1, t)
+        coeffs = tuple(_dot(spec, (a, b), (1, t)) for a, b in zip(f, g))
+        if any(coeffs):
+            members.append(Conic._of(spec, _canonical_codes(spec, coeffs)))
+    members.append(Conic._of(spec, tuple(g)))  # nullspace vectors are canonical
     winners = [c for c in members if is_nondegenerate(c).verdict]
     if len(winners) != 1:
         raise Inconsistent(

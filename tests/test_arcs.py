@@ -107,6 +107,54 @@ def test_is_arc_witness_matches_determinant_scan_on_shuffled_lists():
             assert is_arc(pts) == _is_arc_by_determinants(pts), (q, trial)
 
 
+def _is_arc_by_line_hits(pts):
+    """is_arc's witness rule over the plane's per-line position masks, with
+    no line-count pass first: the first equal pair, else the three lowest
+    positions on a line holding three or more, least such triple first."""
+    for a, b in itertools.combinations(range(len(pts)), 2):
+        if pts[a] == pts[b]:
+            return False, (pts[a], pts[b])
+    pl = plane(pts[0].spec)
+    triples = []
+    for m in pl.line_hits([pl.index(p) for p in pts]).values():
+        positions = [k for k in range(len(pts)) if m >> k & 1]
+        if len(positions) >= 3:
+            triples.append(tuple(positions[:3]))
+    if not triples:
+        return True, None
+    return False, tuple(pts[k] for k in min(triples))
+
+
+@pytest.mark.parametrize("q", [5, 9, 121])
+def test_is_arc_witness_matches_line_hits_rule_on_seeded_non_arcs(q):
+    # conic subsets spoiled by points of one line, by a point off the conic
+    # or by a repeat, and plane subsets carrying several collinear triples
+    rng = random.Random(1000 + q)
+    spec = _spec(q) if q < 100 else make_field(11, 2)
+    pl = plane(spec)
+    oval = list(_oval(spec))
+    on_oval = set(oval)
+    off = [p for p in pl.points if p not in on_oval]
+    non_arcs = 0
+    for trial in range(60):
+        kind = trial % 4
+        pts = rng.sample(oval, rng.randint(3, min(len(oval), 20)))
+        if kind == 0:
+            line = pl.line_points[rng.randrange(pl.n)]
+            pts += [pl.points[i] for i in rng.sample(line, rng.randint(2, 4))]
+        elif kind == 1:
+            pts.append(rng.choice(off))
+        elif kind == 2:
+            pts.append(rng.choice(pts))
+        else:
+            pts = rng.sample(pl.points, rng.randint(6, 12))
+        rng.shuffle(pts)
+        expected = _is_arc_by_line_hits(pts)
+        assert is_arc(pts) == expected, (q, trial)
+        non_arcs += not expected[0]
+    assert non_arcs >= 30
+
+
 def test_is_arc_above_plane_cap():
     spec = make_field(131)
     frame = [_pt(spec, 1, 0, 0), _pt(spec, 0, 1, 0), _pt(spec, 0, 0, 1),

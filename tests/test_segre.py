@@ -3,6 +3,7 @@ conic reconstruction with its certificates."""
 
 import itertools
 import json
+import pickle
 import random
 
 import pytest
@@ -26,7 +27,7 @@ from galoisplane.errors import (
     VerificationFailed,
 )
 from galoisplane.gf import FieldElement, make_field
-from galoisplane.linalg import Mat
+from galoisplane.linalg import Mat, nullspace
 from galoisplane.pg2 import (
     Collineation,
     Plane,
@@ -564,19 +565,144 @@ def _count_element_ops(fn, *args):
     return counter[0]
 
 
+def _element_rows(points):
+    """The fit's monomial matrix, built from element products."""
+    return Mat.from_rows([(x * x, y * y, z * z, x * y, x * z, y * z)
+                          for x, y, z in (p.coords for p in points)])
+
+
 def test_element_operations_do_not_grow_with_q():
     """The per-point loops run on codes: one reconstruction and one tangent
     frame of the standard conic, base at the same positions, make as many
-    FieldElement operator calls at q=121 as at q=11."""
+    FieldElement operator calls at q=121 as at q=11.  Each counted call gets
+    a fresh Arc, so no memoised frame hides the scan.  The tangent frame
+    makes none; the reconstruction makes some, all in the fit's nullspace."""
     counts = {}
     for q in (11, 121):
         spec = make_field(11, 1 if q == 11 else 2)
         oval = _oval(spec)
         base = oval.points[:3]
         reconstruct_conic(oval, base)  # warm the field's tables and plane
-        counts[q] = (
-            _count_element_ops(reconstruct_conic, oval, base),
-            _count_element_ops(tangent_frame, oval, base),
-        )
+        counts[q] = tuple(
+            _count_element_ops(fn, Arc(oval.points, _trusted=True), base)
+            for fn in (reconstruct_conic, tangent_frame)
+        ) + (_count_element_ops(nullspace, _element_rows(oval.points[:5])),)
     assert counts[11] == counts[121]
-    assert all(n > 0 for n in counts[11])
+    assert counts[11][0] == counts[11][2] > 0
+    assert counts[11][1] == 0
+
+
+def test_lemma_and_oracles_make_element_arithmetic_only_in_row_reduction():
+    """The lemma builds its triangle, centres and pencil lines on codes, and
+    the fit oracles their monomial rows and pencil members: each makes
+    exactly the FieldElement operations of the row reductions it calls,
+    the lemma's in its independent perspective_center."""
+    for spec in (make_field(3), make_field(7), make_field(3, 2), make_field(11, 2)):
+        oval = _oval(spec)
+        frame = tangent_frame(oval, oval.points[:3])
+        res = lemma_of_tangents(frame)
+        assert _count_element_ops(lemma_of_tangents, frame) == _count_element_ops(
+            perspective_center, _standard_triangle(spec), res.tangent_triangle)
+        pts = oval.points[:4] if spec.q == 3 else oval.points[:5]
+        oracle = segre._pencil_oracle if spec.q == 3 else fit_conic_nullspace
+        assert _count_element_ops(oracle, pts) == \
+            _count_element_ops(nullspace, _element_rows(pts)) > 0
+
+
+def _parts(frame):
+    """A frame's fields, its transform by matrix (a Collineation compares by identity)."""
+    return (frame.oval, frame.base, frame.transform.matrix, frame.slopes, frame.tangents)
+
+
+def _count_frame_scans(monkeypatch):
+    scans = []
+    real = segre.frame_transform
+
+    def counted(*points):
+        scans.append(points)
+        return real(*points)
+
+    monkeypatch.setattr(segre, "frame_transform", counted)
+    return scans
+
+
+def test_certify_chain_scans_the_frame_once(monkeypatch):
+    spec = make_field(7)
+    oval = _oval(spec)
+    base = (oval.points[4], oval.points[1], oval.points[6])
+    scans = _count_frame_scans(monkeypatch)
+    arc = Arc(oval.points)
+    frame = tangent_frame(arc, base)
+    lemma_of_tangents(frame)
+    conic, cert = reconstruct_conic(arc, base)
+    assert len(scans) == 1
+    assert tangent_frame(arc, list(base)) == frame
+    assert len(scans) == 1
+    # the memoised frame certifies exactly what a fresh scan does
+    monkeypatch.undo()
+    assert reconstruct_conic(Arc(oval.points), base) == (conic, cert)
+
+
+def test_frame_memo_holds_one_base_of_one_arc(monkeypatch):
+    spec = make_field(3, 2)
+    oval = _oval(spec)
+    first, second = oval.points[:3], oval.points[2:5]
+    scans = _count_frame_scans(monkeypatch)
+    arc = Arc(oval.points)
+    frame = _parts(tangent_frame(arc, first))
+    other = _parts(tangent_frame(arc, second))        # another base scans again
+    assert _parts(tangent_frame(arc, first)) == frame  # and the one slot moved on
+    assert len(scans) == 3
+    twin = Arc(oval.points)
+    assert twin == arc
+    assert _parts(tangent_frame(twin, first)) == frame  # an equal Arc keeps its own memo
+    assert len(scans) == 4
+    assert _parts(tangent_frame(twin, second)) == other
+    assert len(scans) == 5
+    # the base is ordered: the same three points in another order are
+    # another frame
+    swapped = (first[1], first[0], first[2])
+    assert _parts(tangent_frame(arc, swapped))[2] != frame[2]
+    assert len(scans) == 6
+
+
+def test_arc_equality_hash_and_pickle_ignore_the_frame_memo():
+    spec = make_field(5)
+    arc = Arc(_oval(spec).points)
+    fresh = Arc(arc.points)
+    frame = tangent_frame(arc, arc.points[:3])
+    assert arc._frame is not None and fresh._frame is None
+    assert arc == fresh and hash(arc) == hash(fresh)
+    copy = pickle.loads(pickle.dumps(arc))
+    assert copy == arc and hash(copy) == hash(arc) and copy._frame is None
+    assert len(pickle.dumps(arc)) == len(pickle.dumps(fresh))
+    assert _parts(tangent_frame(copy, arc.points[:3])) == _parts(frame)
+
+
+def test_failed_scan_stores_no_frame():
+    spec = make_field(5)
+    pts = [_pt(spec, *v) for v in
+           ((1, 0, 0), (1, 2, 0), (1, 2, 3), (1, 3, 2), (0, 1, 0), (0, 0, 1))]
+    oval = Arc(pts, _trusted=True)
+    base = (_pt(spec, 1, 2, 3), _pt(spec, 0, 1, 0), _pt(spec, 0, 0, 1))
+    for _ in range(2):
+        with pytest.raises(DivisionByZero):
+            tangent_frame(oval, base)
+        assert oval._frame is None
+
+
+def test_fault_after_a_memoised_frame_carries_the_certificate(monkeypatch):
+    spec = make_field(7)
+    oval = _oval(spec)
+    _, good = reconstruct_conic(Arc(oval.points))
+    other = parse_conic(spec, "[1:1:1:0:0:0]")
+    for warm in (False, True):
+        arc = Arc(oval.points)
+        if warm:
+            lemma_of_tangents(tangent_frame(arc, arc.points[:3]))
+        with monkeypatch.context() as mp:
+            mp.setattr(segre, "fit_conic_nullspace", lambda points: other)
+            with pytest.raises(VerificationFailed, match="fit oracle") as info:
+                reconstruct_conic(arc)
+        assert info.value.certificate.to_json_dict() == dict(
+            good.to_json_dict(), oracle_conic=list(other.to_ints()))
