@@ -27,7 +27,8 @@ Non-degeneracy is judged two ways and the verdict is their conjunction:
     quadratic on a line with 3 roots vanishes identically);
   * differential (odd characteristic only): the gradient vanishes nowhere on
     the variety.  Like the variety, the scan runs on integer codes with the
-    field's op tables, so it too costs O(q) lookups.
+    field's op tables, so it too costs O(q) lookups, through the gradient map
+    that `segre.reconstruct_conic` also checks an oval with.
 
 The two criteria disagree exactly on single-point varieties, where the
 combinatorial test has nothing to object to but the gradient dies at the
@@ -159,6 +160,24 @@ def gradient(conic: Conic, p: ProjPoint) -> tuple:
     return _elements(spec, _scale(spec, _mat_vec(symmetric_matrix(conic), p.codes), 2))
 
 
+def _gradient_map(conic: Conic):
+    """The gradient map v -> (U + U^T) v on codes, via the op tables (so
+    q <= 512): (2a*x + d*y + e*z, d*x + 2b*y + f*z, e*x + f*y + 2c*z)."""
+    add, mul, _, _ = conic.spec.op_tables()
+    a, b, c, d, e, f = conic.codes
+    r2a, r2b, r2c = mul[add[a][a]], mul[add[b][b]], mul[add[c][c]]
+    rd, re, rf = mul[d], mul[e], mul[f]
+
+    def grad(x: int, y: int, z: int) -> tuple:
+        return (
+            add[add[r2a[x]][rd[y]]][re[z]],
+            add[add[rd[x]][r2b[y]]][rf[z]],
+            add[add[re[x]][rf[y]]][r2c[z]],
+        )
+
+    return grad
+
+
 def tangent_at(conic: Conic, p: ProjPoint) -> ProjLine:
     """The tangent line at a variety point, read off the gradient."""
     if not conic.evaluate(p).is_zero():
@@ -229,8 +248,8 @@ def is_nondegenerate(conic: Conic) -> NondegeneracyReport:
     The plane's per-line counts of the variety points give the maximum
     number on any line; `line_witness` is the lowest-index line holding that
     many, when it is 3 or more.  The gradient is evaluated at each variety
-    point on the field's op-table codes; `gradient_witness` is the first
-    point, in plane order, where it vanishes.
+    point on the field's op-table codes, by `_gradient_map`;
+    `gradient_witness` is the first point, in plane order, where it vanishes.
     """
     spec = conic.spec
     pl = plane(spec)
@@ -242,27 +261,11 @@ def is_nondegenerate(conic: Conic) -> NondegeneracyReport:
         line_witness = pl.lines[min(li for li, k in counts.items() if k == max_on_line)]
     combinatorial_ok = len(pts) > 0 and max_on_line <= 2
 
-    gradient_ok: Optional[bool]
-    gradient_witness = None
-    if spec.p == 2:
-        gradient_ok = None
-    else:
-        # `gradient` on codes: (2a*x + d*y + e*z, d*x + 2b*y + f*z, e*x + f*y + 2c*z)
-        add, mul, _, _ = spec.op_tables()
-        a, b, c, d, e, f = conic.codes
-        r2a, r2b, r2c = mul[add[a][a]], mul[add[b][b]], mul[add[c][c]]
-        rd, re, rf = mul[d], mul[e], mul[f]
-        gradient_ok = True
-        for p in pts:
-            x, y, z = p.codes
-            if not (
-                add[add[r2a[x]][rd[y]]][re[z]]
-                or add[add[rd[x]][r2b[y]]][rf[z]]
-                or add[add[re[x]][rf[y]]][r2c[z]]
-            ):
-                gradient_ok = False
-                gradient_witness = p
-                break
+    gradient_ok = gradient_witness = None
+    if spec.p != 2:
+        grad = _gradient_map(conic)
+        gradient_witness = next((p for p in pts if not any(grad(*p.codes))), None)
+        gradient_ok = gradient_witness is None
 
     return NondegeneracyReport(
         q=spec.q,
@@ -292,16 +295,20 @@ def symmetric_matrix(conic: Conic) -> Mat:
 
 
 def transform_conic(t: Collineation, conic: Conic) -> Conic:
-    """Push a conic forward through a collineation.
+    """Push a conic forward through a collineation: pull it back through t^-1.
 
     Contract: p lies on the input conic iff t.apply(p) lies on the result.
-    Uses the substitution x -> S x with S the inverse matrix of t, folding
-    S^T U S back to the 6 coefficients, so it works in every characteristic.
-    With W = U S, entry B_ij of B = S^T U S is (column i of S) . (column j
-    of W), so each folded B_ij + B_ji is one code dot product of length 6.
+    """
+    return _pullback(t.inverse().matrix, conic)
+
+
+def _pullback(s: Mat, conic: Conic) -> Conic:
+    """The conic f(S x) for an invertible S, folding S^T U S back to the 6
+    coefficients, so it works in every characteristic.  With W = U S, entry
+    B_ij of B = S^T U S is (column i of S) . (column j of W), so each folded
+    B_ij + B_ji is one code dot product of length 6.
     """
     spec = conic.spec
-    s = t.inverse().matrix
     s_cols, w_cols = _rows(s.transpose()), _rows((upper_matrix(conic) @ s).transpose())
     codes = tuple([_dot(spec, s_cols[i], w_cols[i]) for i in range(3)] + [
         _dot(spec, s_cols[i] + s_cols[j], w_cols[j] + w_cols[i])

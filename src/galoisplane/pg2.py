@@ -414,9 +414,11 @@ def verify_axioms(spec: FieldSpec, *, max_order: int = 13) -> AxiomReport:
 
 
 class Collineation:
-    """An invertible 3x3 matrix acting on points; lines move by inverse-transpose."""
+    """An invertible 3x3 matrix acting on points; lines move by inverse-transpose.
 
-    __slots__ = ("matrix", "_inv", "_inv_t")
+    Equal means equal matrices, so a nonzero multiple compares unequal."""
+
+    __slots__ = ("matrix", "_inv")
 
     def __init__(self, matrix: Mat):
         if matrix.rows != 3 or matrix.cols != 3:
@@ -425,7 +427,6 @@ class Collineation:
             raise Singular("collineation matrix is singular")
         self.matrix = matrix
         self._inv = None
-        self._inv_t = None
 
     @classmethod
     def _trusted(cls, matrix: Mat) -> "Collineation":
@@ -433,7 +434,6 @@ class Collineation:
         t = cls.__new__(cls)
         t.matrix = matrix
         t._inv = None
-        t._inv_t = None
         return t
 
     @classmethod
@@ -455,15 +455,22 @@ class Collineation:
         return ProjPoint._of(p.spec, _canonical_codes(p.spec, _mat_vec(self.matrix, p.codes)))
 
     def apply_line(self, l: ProjLine) -> ProjLine:
-        if self._inv_t is None:
-            self._inv_t = self.inverse().matrix.transpose()
-        _same_field("collineation and line", self._inv_t.spec, l.spec)
-        return ProjLine._of(l.spec, _canonical_codes(l.spec, _mat_vec(self._inv_t, l.codes)))
+        inv_t = self.inverse().matrix.transpose()
+        _same_field("collineation and line", inv_t.spec, l.spec)
+        return ProjLine._of(l.spec, _canonical_codes(l.spec, _mat_vec(inv_t, l.codes)))
 
     def __matmul__(self, other: "Collineation") -> "Collineation":
         if not isinstance(other, Collineation):
             return NotImplemented
         return Collineation._trusted(self.matrix @ other.matrix)
+
+    def __eq__(self, other):
+        if not isinstance(other, Collineation):
+            return NotImplemented
+        return self.matrix == other.matrix
+
+    def __hash__(self):
+        return hash(self.matrix)
 
     def __repr__(self):
         return f"Collineation({self.matrix!r})"
@@ -502,10 +509,10 @@ def frame_transform(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint) -> C
 def _code_map(m: Mat):
     """The map (x, y, z) -> m @ (x, y, z) on integer codes, via the op tables.
 
-    The image is not scaled to canonical form, so callers use it only where
-    the result is unchanged by a nonzero scalar: coordinate ratios, and
-    identities homogeneous in the point.  Raises BoundExceeded above the
-    op-table cap (q = 512).
+    The image is not scaled to canonical form, so it serves only where the
+    result is unchanged by a nonzero scalar: the coordinate ratios of the
+    tangent-frame slope scan.  Raises BoundExceeded above the op-table cap
+    (q = 512).
     """
     add, mul, _, _ = m.spec.op_tables()
     r00, r01, r02, r10, r11, r12, r20, r21, r22 = (mul[x] for x in m.codes)

@@ -21,11 +21,12 @@ pins the conic through the oval down to x1*x2 + x2*x3 + x3*x1 in the rescaled
 frame; pulling that back gives the conic in original coordinates.
 
 The loops over the oval's points run on the field's integer codes, not on
-field elements: each point is mapped through the frame matrix's codes with
-the op tables, and its image is never scaled to canonical form.  The slopes
-are ratios of its coordinates, and the containment check and the tangent
-cross identities are homogeneous in the point (and in its tangent), so a
-nonzero scalar changes none of them.
+field elements.  The slope scan maps each point through the frame matrix
+with the op tables; its slopes are coordinate ratios, so the image needs no
+scaling.  The certificate's checks say that the oval's tangent at each of
+its points is the conic's, which holds in every frame, so they run in the
+oval's own coordinates, one gradient per point (see `reconstruct_conic`),
+and the normalised frame is never inverted.
 
 An `Arc` keeps the last frame `tangent_frame` built on it, for one base, so
 the chain tangent_frame -> lemma_of_tangents -> reconstruct_conic on one arc
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .arcs import Arc, is_arc
-from .conic import Conic, is_nondegenerate, transform_conic
+from .conic import Conic, _gradient_map, _pullback, is_nondegenerate
 from .errors import (
     Degenerate,
     DegenerateTriangle,
@@ -64,7 +65,7 @@ from .errors import (
     VerificationFailed,
 )
 from .gf import FieldSpec
-from .linalg import Mat, _dot, _rows, _scale, nullspace
+from .linalg import Mat, _dot, _mat_vec, _rows, _scale, nullspace
 from .pg2 import (
     Collineation,
     ProjLine,
@@ -185,10 +186,8 @@ def sample_perspective_triangles(spec: FieldSpec, rng, *, max_tries: int = 5000)
         )
         if len(set(s)) != 3 or collinear(*s) or (set(s) & set(p)):
             continue
-        # a shared side: s_i and s_j both on the side through p_i and p_j
-        if any(collinear(p[i], p[j], s[i]) and collinear(p[i], p[j], s[j])
-               for i, j in _SIDE_PAIRS):
-            continue
+        # No side is shared: s_i != p_i both lie on the line c p_i, so s_i on
+        # the side p_i p_j would make that side the line c p_i, through c.
         return p, s
     raise InternalCheckFailed("could not sample a perspective pair; q too small?")
 
@@ -225,8 +224,10 @@ def tangent_frame(oval: Arc, base) -> TangentFrame:
 
     The missing slope in each base-point pencil is the tangent slope there;
     the product of the three is checked to be -1.  The frame images and
-    their slopes are computed on the field's op-table codes, so this needs
-    q <= 512 (BoundExceeded above); every oval built on the plane has
+    their slopes are computed on the field's op-table codes, and the
+    tangents are the leftover pencil lines l pulled back as t0^T l, with no
+    inverse of t0.  This needs q <= 512 (BoundExceeded above); every oval
+    built on the plane has
     q <= 128, so only a trusted `Arc` can get there.  A non-base point on a
     side of the base triangle (possible only for a trusted `Arc` that is no
     arc) has a zero frame coordinate and raises DivisionByZero.
@@ -282,10 +283,10 @@ def tangent_frame(oval: Arc, base) -> TangentFrame:
     if product != neg[1]:
         raise SegreRelationViolated(f"slope product {product} is not -1")
 
-    t0_inv = t0.inverse()
-    tangents = tuple(
-        t0_inv.apply_line(_pencil_line(spec, i + 1, k)) for i, k in enumerate(slopes)
-    )
+    # a frame line l pulls back to the line t0^T l
+    t0_t = t0.matrix.transpose()
+    lines = (_pencil_line(spec, i + 1, k).codes for i, k in enumerate(slopes))
+    tangents = tuple(ProjLine._of(spec, _canonical_codes(spec, _mat_vec(t0_t, l))) for l in lines)
     slopes = tuple(spec.from_int(k) for k in slopes)
     oval._frame = (base, t0, slopes, tangents)
     return TangentFrame(
@@ -392,14 +393,13 @@ def normalize_tangents(frame: TangentFrame) -> TangentFrame:
     d = Mat._of(spec, 3, 3, (1, 0, 0, 0, minus_k3, 0, 0, 0, k1k3))
     combined = Collineation._trusted(d @ frame.transform.matrix)
     minus_one = spec.from_int(m1)
-    new_frame = TangentFrame(
+    return TangentFrame(
         oval=frame.oval,
         base=frame.base,
         transform=combined,
         slopes=(minus_one, minus_one, minus_one),
         tangents=frame.tangents,
     )
-    return new_frame
 
 
 def frame_conic(spec: FieldSpec) -> Conic:
@@ -510,13 +510,20 @@ class Certificate:
 def reconstruct_conic(oval: Arc, base=None) -> tuple:
     """Recover the conic through a maximal oval and certify it.
 
-    Returns (conic, certificate).  The conic comes from pulling the frame
-    conic back through the normalized frame transform; it is verified to
-    contain every oval point, to satisfy the tangent cross identities at
-    every non-base point, and to coincide with an independently fitted
-    conic.  Both per-point checks run on the field's op-table codes.  When a
-    check fails, the VerificationFailed raised carries the certificate built
-    so far as its `certificate`.
+    Returns (conic, certificate).  The conic f is the frame conic g pulled
+    back through the normalized frame transform T, with no inverse of T; it
+    is verified to contain every oval point, to satisfy the tangent cross
+    identities at every non-base point, and to coincide with an
+    independently fitted conic.  When a check fails, the VerificationFailed
+    raised carries the certificate built so far as its `certificate`.
+
+    Both per-point checks take one gradient grad f(p) = (U + U^T) p on the
+    op-table codes, in the oval's own coordinates: p is on the conic iff
+    p . grad f(p) = 2 f(p) vanishes (q is odd), and the oval's tangent B at
+    p is the conic's iff B x grad f(p) = 0.  The latter are the frame
+    identities b x grad g(c) = 0 at c = T p, b = T^-T B pulled back: f is a
+    multiple lam * g(T x), so grad g(c) = T^-T grad f(p) / lam, and
+    (T^-T u) x (T^-T v) = det(T^-1) * T (u x v) for invertible T.
     """
     spec = oval.spec
     q = spec.q
@@ -529,54 +536,32 @@ def reconstruct_conic(oval: Arc, base=None) -> tuple:
     if base is None:
         base = oval.points[:3]
     frame0 = tangent_frame(oval, base)
-    norm = normalize_tangents(frame0)
-    t = norm.transform
-    g = frame_conic(spec)
-    conic = transform_conic(t.inverse(), g)
-
-    # the form, on codes, as x*(a*x + d*y + e*z) + y*(b*y + f*z) + z*(c*z)
-    add, mul, _, _ = spec.op_tables()
-    ra, rb, rc, rd, re, rf = (mul[c] for c in conic.codes)
-    all_points_ok = True
-    for p in oval.points:
-        x, y, z = p.codes
-        hx = add[add[ra[x]][rd[y]]][re[z]]
-        hy = add[rb[y]][rf[z]]
-        if add[add[mul[x][hx]][mul[y][hy]]][mul[z][rc[z]]]:
-            all_points_ok = False
-            break
+    t = normalize_tangents(frame0).transform
+    conic = _pullback(t.matrix, frame_conic(spec))
 
     # the tangents are the lines holding exactly one oval point
     pl = plane(spec)
     oval_mask = pl.mask(oval.points)
     indices = [pl.index(p) for p in oval.points]
-    line_masks = pl.line_masks
     tangent_of = {
-        (line_masks[li] & oval_mask).bit_length() - 1: li
+        (pl.line_masks[li] & oval_mask).bit_length() - 1: li
         for li, k in pl.line_counts(indices).items()
         if k == 1
     }
 
-    # Each identity is bilinear in the point c and its tangent b, so scaling
-    # either image by a nonzero factor scales both sides alike: the images
-    # need no canonical form.
-    image = _code_map(t.matrix)
-    line_image = _code_map(t.inverse().matrix.transpose())
-    identities_ok = True
-    base_set = set(norm.base)
+    add, mul, _, _ = spec.op_tables()
+    grad = _gradient_map(conic)
+    all_points_ok = identities_ok = True
+    base_set = set(frame0.base)
     for p, i in zip(oval.points, indices):
-        if p in base_set:
-            continue
-        c0, c1, c2 = image(*p.codes)
-        b0, b1, b2 = line_image(*pl.lines[tangent_of[i]].codes)
-        s01, s02, s12 = add[c0][c1], add[c0][c2], add[c1][c2]
-        if (
-            mul[b2][s02] != mul[b1][s01]
-            or mul[b2][s12] != mul[b0][s01]
-            or mul[b0][s02] != mul[b1][s12]
-        ):
-            identities_ok = False
-            break
+        x, y, z = p.codes
+        g0, g1, g2 = grad(x, y, z)
+        # p . grad f(p) = 2 f(p), and B x grad f(p) for the tangent B at p
+        all_points_ok = all_points_ok and not add[add[mul[x][g0]][mul[y][g1]]][mul[z][g2]]
+        if identities_ok and p not in base_set:
+            b0, b1, b2 = pl.lines[tangent_of[i]].codes
+            identities_ok = (mul[b1][g2] == mul[b2][g1] and mul[b2][g0] == mul[b0][g2]
+                             and mul[b0][g1] == mul[b1][g0])
 
     if q == 3:
         oracle = _pencil_oracle(oval.points)

@@ -1,6 +1,7 @@
 """Desargues configurations, the tangent-slope lemma, and constructive
 conic reconstruction with its certificates."""
 
+import dataclasses
 import itertools
 import json
 import pickle
@@ -26,6 +27,7 @@ from galoisplane.errors import (
     UnderDetermined,
     VerificationFailed,
 )
+from galoisplane import linalg, pg2
 from galoisplane.gf import FieldElement, make_field
 from galoisplane.linalg import Mat, nullspace
 from galoisplane.pg2 import (
@@ -39,6 +41,7 @@ from galoisplane.pg2 import (
     join,
     meet,
     parse_point,
+    plane,
 )
 from galoisplane.segre import (
     Certificate,
@@ -609,11 +612,6 @@ def test_lemma_and_oracles_make_element_arithmetic_only_in_row_reduction():
             _count_element_ops(nullspace, _element_rows(pts)) > 0
 
 
-def _parts(frame):
-    """A frame's fields, its transform by matrix (a Collineation compares by identity)."""
-    return (frame.oval, frame.base, frame.transform.matrix, frame.slopes, frame.tangents)
-
-
 def _count_frame_scans(monkeypatch):
     scans = []
     real = segre.frame_transform
@@ -649,20 +647,20 @@ def test_frame_memo_holds_one_base_of_one_arc(monkeypatch):
     first, second = oval.points[:3], oval.points[2:5]
     scans = _count_frame_scans(monkeypatch)
     arc = Arc(oval.points)
-    frame = _parts(tangent_frame(arc, first))
-    other = _parts(tangent_frame(arc, second))        # another base scans again
-    assert _parts(tangent_frame(arc, first)) == frame  # and the one slot moved on
+    frame = tangent_frame(arc, first)
+    other = tangent_frame(arc, second)         # another base scans again
+    assert tangent_frame(arc, first) == frame  # and the one slot moved on
     assert len(scans) == 3
     twin = Arc(oval.points)
     assert twin == arc
-    assert _parts(tangent_frame(twin, first)) == frame  # an equal Arc keeps its own memo
+    assert tangent_frame(twin, first) == frame  # an equal Arc keeps its own memo
     assert len(scans) == 4
-    assert _parts(tangent_frame(twin, second)) == other
+    assert tangent_frame(twin, second) == other
     assert len(scans) == 5
     # the base is ordered: the same three points in another order are
     # another frame
     swapped = (first[1], first[0], first[2])
-    assert _parts(tangent_frame(arc, swapped))[2] != frame[2]
+    assert tangent_frame(arc, swapped).transform != frame.transform
     assert len(scans) == 6
 
 
@@ -676,7 +674,7 @@ def test_arc_equality_hash_and_pickle_ignore_the_frame_memo():
     copy = pickle.loads(pickle.dumps(arc))
     assert copy == arc and hash(copy) == hash(arc) and copy._frame is None
     assert len(pickle.dumps(arc)) == len(pickle.dumps(fresh))
-    assert _parts(tangent_frame(copy, arc.points[:3])) == _parts(frame)
+    assert tangent_frame(copy, arc.points[:3]) == frame
 
 
 def test_failed_scan_stores_no_frame():
@@ -706,3 +704,104 @@ def test_fault_after_a_memoised_frame_carries_the_certificate(monkeypatch):
                 reconstruct_conic(arc)
         assert info.value.certificate.to_json_dict() == dict(
             good.to_json_dict(), oracle_conic=list(other.to_ints()))
+
+
+def test_equal_scans_give_equal_frames():
+    """A Collineation compares by matrix, so two scans of equal arcs with one
+    base give equal frames, and equal transforms hash alike."""
+    spec = make_field(7)
+    pts = _oval(spec).points
+    base = pts[2:5]
+    first, second = tangent_frame(Arc(pts), base), tangent_frame(Arc(pts), base)
+    assert first.transform is not second.transform
+    assert tangent_frame(Arc(pts), base) == tangent_frame(Arc(pts), base)
+    assert hash(first) == hash(second) and hash(first.transform) == hash(second.transform)
+    other = tangent_frame(Arc(pts), pts[:3])
+    assert other != first and other.transform != first.transform
+    assert first.transform != first.transform.matrix  # never equal to a bare Mat
+
+
+def _frame_reference(oval, cert):
+    """The frame-coordinate checks of a certificate's transform T, written
+    with the public Collineation.apply/apply_line and element arithmetic:
+    (all points ok, identities ok).  A point p is on the conic iff the frame
+    conic x1*x2 + x2*x3 + x3*x1 vanishes at c = T p; at a non-base point with
+    tangent B (the one line through p holding no other oval point), the
+    identities say b = T^-T B is parallel to the frame conic's gradient
+    (c2 + c3, c1 + c3, c1 + c2) at c."""
+    spec = oval.spec
+    t = Collineation(Mat.from_rows([[spec.from_int(v) for v in row]
+                                    for row in cert.frame_matrix]))
+    base = {parse_point(spec, text) for text in cert.base_triple}
+    pl = plane(spec)
+    on_oval = {pl.index(p) for p in oval.points}
+    points_ok = identities_ok = True
+    for p in oval.points:
+        c0, c1, c2 = t.apply(p).coords
+        if not (c0 * c1 + c1 * c2 + c2 * c0).is_zero():
+            points_ok = False
+        if p in base:
+            continue
+        (tangent,) = [pl.lines[li] for li in pl.point_lines[pl.index(p)]
+                      if len(on_oval.intersection(pl.line_points[li])) == 1]
+        b0, b1, b2 = t.apply_line(tangent).coeffs
+        g0, g1, g2 = c1 + c2, c0 + c2, c0 + c1
+        if not all(v.is_zero() for v in (b1 * g2 - b2 * g1, b2 * g0 - b0 * g2,
+                                         b0 * g1 - b1 * g0)):
+            identities_ok = False
+    return points_ok, identities_ok
+
+
+def test_pulled_back_checks_match_the_frame_coordinate_checks(monkeypatch):
+    """reconstruct_conic checks containment and the tangent identities in the
+    oval's own coordinates; they agree with the frame-coordinate checks on
+    every oval of PG(2, 5), the ordered base positions cycling through all
+    120, and still agree, both False, when normalize_tangents is perturbed
+    by diag(1, 1, 2)."""
+    spec = make_field(5)
+    two = spec.from_int(2)
+    real = segre.normalize_tangents
+
+    def perturbed(frame):
+        norm = real(frame)
+        d = Mat.diagonal((spec.one(), spec.one(), two))
+        return dataclasses.replace(norm, transform=Collineation(d @ norm.transform.matrix))
+
+    ovals = search_maximal_arcs(spec, 6)
+    assert len(ovals) == 3100
+    positions = list(itertools.permutations(range(6), 3))
+    for n, oval in enumerate(ovals):
+        base = tuple(oval.points[i] for i in positions[n % len(positions)])
+        _, cert = reconstruct_conic(oval, base)
+        assert (cert.all_points_ok, cert.identities_ok) == (True, True)
+        assert _frame_reference(oval, cert) == (True, True)
+        with monkeypatch.context() as mp:
+            mp.setattr(segre, "normalize_tangents", perturbed)
+            with pytest.raises(VerificationFailed, match="misses an oval point") as info:
+                reconstruct_conic(oval, base)
+        bad = info.value.certificate
+        assert bad.frame_matrix != cert.frame_matrix
+        assert (bad.all_points_ok, bad.identities_ok) == (False, False)
+        assert _frame_reference(oval, bad) == (False, False)
+
+
+def test_certify_chain_inverts_one_matrix(monkeypatch):
+    """frame, lemma and reconstruction on a fresh arc invert one matrix, the
+    base triangle's in frame_transform: the normalised frame is pulled back
+    through its own matrix, and the tangents through the transpose."""
+    calls = []
+    real = linalg.inverse3
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    for module in (linalg, pg2):
+        monkeypatch.setattr(module, "inverse3", counted)
+    spec = make_field(7)
+    oval = _oval(spec)
+    base = (oval.points[4], oval.points[1], oval.points[6])
+    arc = Arc(oval.points)
+    lemma_of_tangents(tangent_frame(arc, base))
+    reconstruct_conic(arc, base)
+    assert calls == [Mat.from_rows([p.coords for p in base]).transpose()]
