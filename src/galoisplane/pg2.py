@@ -19,15 +19,16 @@ Plane enumeration order is fixed: points (1, y, z) with y then z running
 through the field's code order, then (0, 1, z), then (0, 0, 1); lines use the
 same triple order for their coefficient vectors.
 
-The Plane class caches the whole incidence structure (point and line lists,
-per-line point indices, per-point line indices, line bitmasks) in integer-code
-space and counts incidences of point sets on it, so that search and
+The Plane class caches the incidence structure (point and line lists,
+per-line point indices, per-point line indices) in integer-code space and
+counts incidences of point sets on it, so that search, tangent and
 verification loops run on plain ints: `line_hits` gives per line the
 positions of the points it holds, `line_counts` only how many (one Counter
-over the lines through the points, so the counting runs in C).  It also holds
-two root tables of q entries each, built in O(q) from the field's operation
-tables: per code s, the ascending codes w with w*w = s (`square_roots`) and
-with w*w + w = s (`unit_roots`).  Together they solve any quadratic over the
+over the lines through the points, so the counting runs in C).  Only the arc
+search reads line bitmasks, built on its first use.  It also holds two root
+tables of q entries each, built in O(q) from the field's operation tables:
+per code s, the ascending codes w with w*w = s (`square_roots`) and with
+w*w + w = s (`unit_roots`).  Together they solve any quadratic over the
 field, in every characteristic (see `conic.variety_of`).
 """
 
@@ -213,11 +214,11 @@ def iter_points(spec: FieldSpec):
 
 
 class Plane:
-    """Cached incidence structure of PG(2, q); built once per field spec."""
+    """Cached incidence structure of PG(2, q), built once per spec; line masks on first read."""
 
     __slots__ = (
-        "spec", "n", "points", "lines", "point_index", "line_index",
-        "line_points", "point_lines", "line_masks", "square_roots", "unit_roots",
+        "spec", "n", "points", "lines", "point_index",
+        "line_points", "point_lines", "_line_masks", "square_roots", "unit_roots",
     )
 
     def __init__(self, spec: FieldSpec):
@@ -230,7 +231,6 @@ class Plane:
         self.points = tuple(ProjPoint._of(spec, t) for t in code_triples)
         self.lines = tuple(ProjLine._of(spec, t) for t in code_triples)
         self.point_index = {p: i for i, p in enumerate(self.points)}
-        self.line_index = {l: i for i, l in enumerate(self.lines)}
 
         # Points on [a:b:c] as ascending indices ((1, y, z) is y*q + z,
         # (0, 1, z) is q*q + z): (1, y, -(a + b*y)/c) per y and (0, 1, -b/c)
@@ -258,16 +258,7 @@ class Plane:
             for pi in pts:
                 by_point[pi].append(li)
         self.point_lines = tuple(tuple(ls) for ls in by_point)
-        # bits set in a byte buffer: a sum of q+1 n-bit shifts costs O(q*n)
-        nbytes = (self.n + 7) // 8
-
-        def mask(pts):
-            buf = bytearray(nbytes)
-            for pi in pts:
-                buf[pi >> 3] |= 1 << (pi & 7)
-            return int.from_bytes(buf, "little")
-
-        self.line_masks = tuple(map(mask, self.line_points))
+        self._line_masks = None
 
         # Per code s, the ascending codes w with w*w = s and with w*w + w = s.
         square_roots = [[] for _ in range(q)]
@@ -278,6 +269,20 @@ class Plane:
             unit_roots[add[w2][w]].append(w)
         self.square_roots = tuple(map(tuple, square_roots))
         self.unit_roots = tuple(map(tuple, unit_roots))
+
+    @property
+    def line_masks(self) -> tuple:
+        """Per line, the n-bit mask of its point indices; built on first read."""
+        if self._line_masks is None:
+            # bits set in a byte buffer: a sum of q+1 n-bit shifts costs O(q*n)
+            nbytes, masks = (self.n + 7) // 8, []
+            for pts in self.line_points:
+                buf = bytearray(nbytes)
+                for pi in pts:
+                    buf[pi >> 3] |= 1 << (pi & 7)
+                masks.append(int.from_bytes(buf, "little"))
+            self._line_masks = tuple(masks)
+        return self._line_masks
 
     def index(self, p: ProjPoint) -> int:
         """Index of a point of this plane."""
@@ -316,17 +321,18 @@ class Plane:
 
     def tangents(self, i: int, mask: int) -> list:
         """The lines through point i that meet the point bitmask nowhere else."""
-        others = mask & ~(1 << i)
-        line_masks = self.line_masks
+        others, rest = set(), mask & ~(1 << i)
+        while rest:
+            others.add((rest & -rest).bit_length() - 1)
+            rest &= rest - 1
         return [self.lines[li] for li in self.point_lines[i]
-                if not line_masks[li] & others]
+                if others.isdisjoint(self.line_points[li])]
 
     def pair_line(self, i: int, j: int) -> int:
         """Index of the unique line through points i and j (i != j)."""
         if i == j:
             raise EqualPoints(f"pair_line needs distinct points, got index {i} twice")
-        line_masks = self.line_masks
-        return next(li for li in self.point_lines[i] if line_masks[li] >> j & 1)
+        return set(self.point_lines[i]).intersection(self.point_lines[j]).pop()
 
 
 _plane_cache: dict[FieldSpec, Plane] = {}
@@ -480,10 +486,9 @@ def frame_transform(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint) -> C
     """The collineation sending a, b, c, d to (1,0,0), (0,1,0), (0,0,1), (1,1,1).
 
     Columns [a|b|c] are rescaled by lam = [a|b|c]^-1 d so they sum to d, and
-    the rescaled matrix is inverted by rescaling the rows of [a|b|c]^-1.  The
-    rescaled matrix itself is the result's inverse, set so that `inverse()`
-    runs no inverse3.  The four points must be in general position (no three
-    collinear).  All of it runs on codes.
+    the rescaled matrix is inverted by rescaling the rows of [a|b|c]^-1; no
+    inverse of the result is kept.  The four points must be in general
+    position (no three collinear).  All of it runs on codes.
     """
     spec = a.spec
     _same_field("frame points", spec, b.spec, c.spec, d.spec)
@@ -495,15 +500,9 @@ def frame_transform(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint) -> C
     lam = _mat_vec(m_inv, d.codes)
     if not all(lam):
         raise DegenerateFrame("fourth frame point lies on a side of the base triangle")
-    # (m diag(lam))^-1 = diag(lam)^-1 m^-1: row i of m_inv scaled by 1/lam_i;
-    # column j of m scaled by lam_j gives m diag(lam) itself, and column j of
-    # m is the j-th frame point
-    t = Collineation._trusted(Mat._of(spec, 3, 3, tuple(chain.from_iterable(
+    # (m diag(lam))^-1 = diag(lam)^-1 m^-1: row i of m_inv scaled by 1/lam_i
+    return Collineation._trusted(Mat._of(spec, 3, 3, tuple(chain.from_iterable(
         _scale(spec, r, _inv(spec, x)) for r, x in zip(_rows(m_inv), lam)))))
-    t._inv = Collineation._trusted(Mat._of(spec, 3, 3, tuple(chain.from_iterable(
-        _scale(spec, v.codes, x) for v, x in zip((a, b, c), lam)))).transpose())
-    t._inv._inv = t
-    return t
 
 
 def _code_map(m: Mat):

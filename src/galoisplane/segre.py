@@ -26,7 +26,7 @@ with the op tables; its slopes are coordinate ratios, so the image needs no
 scaling.  The certificate's checks say that the oval's tangent at each of
 its points is the conic's, which holds in every frame, so they run in the
 oval's own coordinates, one gradient per point (see `reconstruct_conic`),
-and the normalised frame is never inverted.
+and no frame transform is ever inverted.
 
 An `Arc` keeps the last frame `tangent_frame` built on it, for one base, so
 the chain tangent_frame -> lemma_of_tangents -> reconstruct_conic on one arc
@@ -65,7 +65,7 @@ from .errors import (
     VerificationFailed,
 )
 from .gf import FieldSpec
-from .linalg import Mat, _dot, _mat_vec, _rows, _scale, nullspace
+from .linalg import Mat, _cross, _dot, _mat_vec, _rows, _scale, nullspace
 from .pg2 import (
     Collineation,
     ProjLine,
@@ -327,7 +327,8 @@ def lemma_of_tangents(frame: TangentFrame) -> LemmaResult:
     x1 = m2*x3 at e2, x2 = m3*x1 at e3) the same center reads
     (1, -m3, m1*m3).  The concurrency of the reciprocal-parameter pencil
     lines through (1, -k3, k1*k3) is verified as a second certificate of
-    the relation.
+    the relation.  The center maps back as the meet of two joins pulled
+    back through t0^T, with no inverse of t0.
     """
     spec = frame.spec
     k1, k2, k3 = (k.code for k in frame.slopes)
@@ -367,7 +368,9 @@ def lemma_of_tangents(frame: TangentFrame) -> LemmaResult:
                 "reciprocal-parameter lines are not concurrent"
             )
 
-    center = frame.transform.inverse().apply(closed)
+    # (t0^T u) x (t0^T v) = det t0 * t0^-1 (u x v)
+    t0_t = frame.transform.matrix.transpose()
+    center = point(*_cross(spec, *(_mat_vec(t0_t, ln.codes) for ln in joins[:2])))
     return LemmaResult(
         tangent_triangle=(s1, s2, s3),
         joins=joins,
@@ -541,13 +544,10 @@ def reconstruct_conic(oval: Arc, base=None) -> tuple:
 
     # the tangents are the lines holding exactly one oval point
     pl = plane(spec)
-    oval_mask = pl.mask(oval.points)
     indices = [pl.index(p) for p in oval.points]
-    tangent_of = {
-        (pl.line_masks[li] & oval_mask).bit_length() - 1: li
-        for li, k in pl.line_counts(indices).items()
-        if k == 1
-    }
+    oval_set = set(indices)
+    tangent_of = {next(iter(oval_set.intersection(pl.line_points[li]))): li
+                  for li, k in pl.line_counts(indices).items() if k == 1}
 
     add, mul, _, _ = spec.op_tables()
     grad = _gradient_map(conic)

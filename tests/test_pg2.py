@@ -305,7 +305,7 @@ def test_plane_pair_line_agrees_with_join():
 
 
 def test_plane_pair_line_dict_fallback_agrees_with_join():
-    # the line is read off the first point's line masks, at any order
+    # the line is the one both points' line-index tuples share, at any order
     pl = plane(make_field(2, 5))
     rng = random.Random(32)
     for _ in range(100):
@@ -529,8 +529,8 @@ def test_frame_transform_standard_frame():
 
 
 def test_frame_transform_matches_inverse_of_scaled_columns(monkeypatch):
-    """One inverse3 plus a row rescale equals inverting [a|b|c] diag(lam),
-    and the first inverse() returns [a|b|c] diag(lam) without an inverse3."""
+    """One inverse3 plus a row rescale equals inverting [a|b|c] diag(lam);
+    the transform carries no inverse, so the first inverse() makes one."""
     calls = []
     monkeypatch.setattr(pg2, "inverse3", lambda m: calls.append(m) or inverse3(m))
     for p, k in ((5, 1), (2, 3), (3, 2)):
@@ -554,7 +554,7 @@ def test_frame_transform_matches_inverse_of_scaled_columns(monkeypatch):
             calls.clear()
             assert t.inverse().matrix == scaled == inverse3(t.matrix)
             assert t.inverse().inverse() is t
-            assert calls == []
+            assert len(calls) == 1
 
 
 def test_frame_transform_degenerate_rejected():

@@ -2,6 +2,7 @@
 conic reconstruction with its certificates."""
 
 import dataclasses
+import gc
 import itertools
 import json
 import pickle
@@ -9,8 +10,8 @@ import random
 
 import pytest
 
-from galoisplane.arcs import Arc, is_arc, search_maximal_arcs
-from galoisplane.conic import is_nondegenerate, parse_conic
+from galoisplane.arcs import Arc, is_arc, search_maximal_arcs, tangent_lines
+from galoisplane.conic import combinatorial_tangents, is_nondegenerate, parse_conic
 from galoisplane import segre
 from galoisplane.errors import (
     BoundExceeded,
@@ -490,7 +491,8 @@ def test_reconstruct_every_oval_q3():
         assert is_nondegenerate(got).verdict
 
 
-def test_reconstruct_builds_the_oval_mask_once(monkeypatch):
+def test_reconstruct_builds_no_point_mask(monkeypatch):
+    # the tangents are read off the line counts and the lines' index tuples
     sizes = []
     original = Plane.mask
 
@@ -501,7 +503,63 @@ def test_reconstruct_builds_the_oval_mask_once(monkeypatch):
     monkeypatch.setattr(Plane, "mask", counted)
     spec = make_field(13)
     reconstruct_conic(Arc(parse_conic(spec, "[1:0:0:0:0:-1]").variety()))
-    assert sizes == [14]
+    assert sizes == []
+
+
+def test_only_the_arc_search_builds_line_masks(monkeypatch):
+    """The certify chain, validation, Desargues, both tangent routines and
+    pair_line run on index tuples; the arc search alone builds the line
+    bitmasks, on its first use of the plane."""
+    monkeypatch.setattr(pg2, "_plane_cache", {})
+    spec = make_field(5, 2)
+    pl = plane(spec)
+    conic = parse_conic(spec, "[1:0:0:0:0:-1]")
+    arc = Arc(conic.variety())
+    base = (arc.points[7], arc.points[2], arc.points[19])
+    frame = tangent_frame(arc, base)
+    lemma_of_tangents(frame)
+    reconstruct_conic(arc, base)
+    assert is_nondegenerate(conic).verdict and is_arc(arc.points)[0]
+    rng = random.Random(25)
+    for _ in range(5):
+        desargues_axis(*sample_perspective_triangles(spec, rng))
+    for p in arc.points[:6]:
+        assert tangent_lines(arc, p) == combinatorial_tangents(conic, p)
+    assert pl.lines[pl.pair_line(3, 200)] == join(pl.points[3], pl.points[200])
+    assert pl._line_masks is None
+
+    small = plane(make_field(5))
+    assert small._line_masks is None
+    search_maximal_arcs(small.spec, 6, limit=1)
+    masks = small._line_masks
+    assert len(masks) == small.n and small.line_masks is masks
+    for li, mask in enumerate(masks):
+        assert mask.bit_count() == 6
+        assert {i for i in range(small.n) if mask >> i & 1} == set(small.line_points[li])
+
+
+def test_certify_chain_leaves_no_reference_cycle():
+    """With the collector off, frame, lemma and reconstruction on fresh arcs
+    leave nothing for gc.collect(): every object is freed by its refcount."""
+    spec = make_field(7)
+    points = _oval(spec).points
+    rng = random.Random(7)
+
+    def chain():
+        arc = Arc(points)
+        base = tuple(rng.sample(points, 3))
+        lemma_of_tangents(tangent_frame(arc, base))
+        reconstruct_conic(arc, base)
+
+    chain()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            chain()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_tangent_frame_point_on_a_base_side_raises_division_by_zero():
