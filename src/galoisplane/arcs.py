@@ -176,17 +176,18 @@ class Arc:
 
 
 def tangent_lines(arc: Arc, p: ProjPoint) -> list:
-    """Lines through an arc point meeting the arc only there.
+    """Lines through an arc point meeting the arc only there: the point's
+    entry of `Plane.tangents` over the arc, in `point_lines` order.
 
     An arc of size n has exactly q + 2 - n tangents at each of its points:
     of the q + 1 lines through p, the n - 1 secants to the other arc points
     are pairwise distinct because no line carries 3 arc points.
     """
     pl = plane(arc.spec)
-    i, mask = pl.index(p), pl.mask(arc.points)
-    if not mask >> i & 1:
+    i, indices = pl.index(p), [pl.index(x) for x in arc.points]
+    if i not in indices:
         raise PointNotOnArc(f"{p.to_text()} is not a point of the arc")
-    return pl.tangents(i, mask)
+    return [pl.lines[li] for li in pl.tangents(indices)[indices.index(i)]]
 
 
 def search_maximal_arcs(spec: FieldSpec, target_size: int, limit=None,

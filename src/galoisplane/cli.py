@@ -89,14 +89,9 @@ def _cmd_conic_variety(args) -> int:
     conic = parse_conic(spec, args.conic)
     pts = conic.variety()
     report = conic.nondegeneracy()
-    # a point's tangents are the lines through it that hold no other point
     pl = plane(spec)
-    indices = [pl.index(p) for p in pts]
-    counts = pl.line_counts(indices)
-    tangents = [
-        [pl.lines[li].to_text() for li in pl.point_lines[i] if counts[li] == 1]
-        for i in indices
-    ]
+    tangents = [[pl.lines[li].to_text() for li in tl]
+                for tl in pl.tangents([pl.index(p) for p in pts])]
     payload = {
         "field": spec.to_text(),
         "conic": conic.to_ints(),
@@ -166,6 +161,8 @@ def _cmd_desargues_demo(args) -> int:
     spec = parse_field(args.field)
     if args.random is not None and args.seed is None:
         raise GuardedInputError("--random requires --seed")
+    if args.random is not None and args.random < 1:
+        raise GuardedInputError(f"--random must be positive, got {args.random}")
     payload = {"field": spec.to_text()}
     pairs = []
     if args.random is None:
@@ -200,6 +197,8 @@ def _cmd_segre_verify(args) -> int:
         raise GuardedInputError(f"tangent slope checks need odd q, got q={spec.q}")
     if args.samples is not None and args.seed is None:
         raise GuardedInputError("--samples requires --seed")
+    if args.samples is not None and args.samples < 1:
+        raise GuardedInputError(f"--samples must be positive, got {args.samples}")
     if args.samples is not None and args.exhaustive:
         raise GuardedInputError("--exhaustive and --samples are exclusive")
     payload = {"field": spec.to_text()}

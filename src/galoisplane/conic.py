@@ -212,7 +212,8 @@ def line_conic_intersect(conic: Conic, l: ProjLine) -> list:
 
 
 def combinatorial_tangents(conic: Conic, p: ProjPoint) -> list:
-    """Lines through p meeting the variety only at p, in any characteristic.
+    """Lines through p meeting the variety only at p, in any characteristic:
+    p's entry of `Plane.tangents` over the variety, in `point_lines` order.
 
     For a non-degenerate conic this is a single line per variety point; for
     degenerate ones it may be empty or contain several lines.
@@ -220,7 +221,8 @@ def combinatorial_tangents(conic: Conic, p: ProjPoint) -> list:
     if not conic.evaluate(p).is_zero():
         raise NotOnVariety(f"{p.to_text()} is not on the conic {conic.to_text()}")
     pl = plane(conic.spec)
-    return pl.tangents(pl.index(p), pl.mask(conic.variety()))
+    i, indices = pl.index(p), [pl.index(x) for x in conic.variety()]
+    return [pl.lines[li] for li in pl.tangents(indices)[indices.index(i)]]
 
 
 @dataclass(frozen=True)

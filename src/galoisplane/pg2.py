@@ -24,7 +24,8 @@ per-line point indices, per-point line indices) in integer-code space and
 counts incidences of point sets on it, so that search, tangent and
 verification loops run on plain ints: `line_hits` gives per line the
 positions of the points it holds, `line_counts` only how many (one Counter
-over the lines through the points, so the counting runs in C).  Only the arc
+over the lines through the points, so the counting runs in C), `tangents`
+per point the lines counted once, for every tangent question.  Only the arc
 search reads line bitmasks, built on its first use.  It also holds two root
 tables of q entries each, built in O(q) from the field's operation tables:
 per code s, the ascending codes w with w*w = s (`square_roots`) and with
@@ -293,13 +294,6 @@ class Plane:
             raise SpecMismatch("point and plane from different field specs")
         return i
 
-    def mask(self, points) -> int:
-        """Bitmask of the indices of the given points."""
-        m = 0
-        for p in points:
-            m |= 1 << self.index(p)
-        return m
-
     def line_hits(self, indices) -> dict:
         """Per line through any of the given point indices, a bitmask of their positions.
 
@@ -319,14 +313,20 @@ class Plane:
         point_lines = self.point_lines
         return Counter(chain.from_iterable(point_lines[i] for i in indices))
 
-    def tangents(self, i: int, mask: int) -> list:
-        """The lines through point i that meet the point bitmask nowhere else."""
-        others, rest = set(), mask & ~(1 << i)
-        while rest:
-            others.add((rest & -rest).bit_length() - 1)
-            rest &= rest - 1
-        return [self.lines[li] for li in self.point_lines[i]
-                if others.isdisjoint(self.line_points[li])]
+    def tangents(self, indices) -> list:
+        """Per given (distinct) point index, in order, the indices of the lines
+        through it holding no other given point: those `line_counts` counts once.
+
+        Such a line is counted while the chain walks its one point's lines, so
+        the counts' insertion order keeps `point_lines` order.
+        """
+        line_points = self.line_points
+        given = set(indices)
+        at = {i: [] for i in indices}
+        for li, k in self.line_counts(indices).items():
+            if k == 1:
+                at[given.intersection(line_points[li]).pop()].append(li)
+        return [at[i] for i in indices]
 
     def pair_line(self, i: int, j: int) -> int:
         """Index of the unique line through points i and j (i != j)."""
@@ -422,9 +422,10 @@ def verify_axioms(spec: FieldSpec, *, max_order: int = 13) -> AxiomReport:
 class Collineation:
     """An invertible 3x3 matrix acting on points; lines move by inverse-transpose.
 
-    Equal means equal matrices, so a nonzero multiple compares unequal."""
+    Equal means equal matrices, so a nonzero multiple compares unequal.  No
+    inverse is kept: each `inverse` or `apply_line` call makes one inverse3."""
 
-    __slots__ = ("matrix", "_inv")
+    __slots__ = ("matrix",)
 
     def __init__(self, matrix: Mat):
         if matrix.rows != 3 or matrix.cols != 3:
@@ -432,14 +433,12 @@ class Collineation:
         if det3(matrix).is_zero():
             raise Singular("collineation matrix is singular")
         self.matrix = matrix
-        self._inv = None
 
     @classmethod
     def _trusted(cls, matrix: Mat) -> "Collineation":
         """A Collineation of a 3x3 matrix known to be invertible; no det3 check."""
         t = cls.__new__(cls)
         t.matrix = matrix
-        t._inv = None
         return t
 
     @classmethod
@@ -451,10 +450,7 @@ class Collineation:
         return cls(Mat.diagonal(diag))
 
     def inverse(self) -> "Collineation":
-        if self._inv is None:
-            self._inv = Collineation._trusted(inverse3(self.matrix))
-            self._inv._inv = self
-        return self._inv
+        return Collineation._trusted(inverse3(self.matrix))
 
     def apply(self, p: ProjPoint) -> ProjPoint:
         _same_field("collineation and point", self.matrix.spec, p.spec)

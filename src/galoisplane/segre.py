@@ -522,9 +522,10 @@ def reconstruct_conic(oval: Arc, base=None) -> tuple:
 
     Both per-point checks take one gradient grad f(p) = (U + U^T) p on the
     op-table codes, in the oval's own coordinates: p is on the conic iff
-    p . grad f(p) = 2 f(p) vanishes (q is odd), and the oval's tangent B at
-    p is the conic's iff B x grad f(p) = 0.  The latter are the frame
-    identities b x grad g(c) = 0 at c = T p, b = T^-T B pulled back: f is a
+    p . grad f(p) = 2 f(p) vanishes (q is odd), and each oval tangent B at p
+    (one `Plane.tangents` call lists them; an oval has one per point) is the
+    conic's iff B x grad f(p) = 0.  The latter are the frame identities
+    b x grad g(c) = 0 at c = T p, b = T^-T B pulled back: f is a
     multiple lam * g(T x), so grad g(c) = T^-T grad f(p) / lam, and
     (T^-T u) x (T^-T v) = det(T^-1) * T (u x v) for invertible T.
     """
@@ -542,26 +543,24 @@ def reconstruct_conic(oval: Arc, base=None) -> tuple:
     t = normalize_tangents(frame0).transform
     conic = _pullback(t.matrix, frame_conic(spec))
 
-    # the tangents are the lines holding exactly one oval point
     pl = plane(spec)
-    indices = [pl.index(p) for p in oval.points]
-    oval_set = set(indices)
-    tangent_of = {next(iter(oval_set.intersection(pl.line_points[li]))): li
-                  for li, k in pl.line_counts(indices).items() if k == 1}
+    tangents = pl.tangents([pl.index(p) for p in oval.points])
 
     add, mul, _, _ = spec.op_tables()
     grad = _gradient_map(conic)
     all_points_ok = identities_ok = True
     base_set = set(frame0.base)
-    for p, i in zip(oval.points, indices):
+    for p, tl in zip(oval.points, tangents):
         x, y, z = p.codes
         g0, g1, g2 = grad(x, y, z)
-        # p . grad f(p) = 2 f(p), and B x grad f(p) for the tangent B at p
+        # p . grad f(p) = 2 f(p), and B x grad f(p) for each tangent B at p
         all_points_ok = all_points_ok and not add[add[mul[x][g0]][mul[y][g1]]][mul[z][g2]]
         if identities_ok and p not in base_set:
-            b0, b1, b2 = pl.lines[tangent_of[i]].codes
-            identities_ok = (mul[b1][g2] == mul[b2][g1] and mul[b2][g0] == mul[b0][g2]
-                             and mul[b0][g1] == mul[b1][g0])
+            for li in tl:
+                b0, b1, b2 = pl.lines[li].codes
+                identities_ok = identities_ok and (
+                    mul[b1][g2] == mul[b2][g1] and mul[b2][g0] == mul[b0][g2]
+                    and mul[b0][g1] == mul[b1][g0])
 
     if q == 3:
         oracle = _pencil_oracle(oval.points)

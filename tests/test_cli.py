@@ -196,6 +196,17 @@ def test_exit_code_guarded_inputs():
         assert proc.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_sample_counts_below_one_are_rejected(k):
+    """A K below 1 for --samples or --random exits 2 with an error and
+    prints nothing, as `oval search --limit 0` does."""
+    for argv, flag in ((("segre", "verify", "--field", "q=5"), "--samples"),
+                       (("desargues", "demo", "--field", "q=5"), "--random")):
+        code, out, err = _run_text(*argv, flag, k, "--seed", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} must be positive, got {int(k)}\n"
+
+
 def test_exit_code_bound_exceeded():
     proc = _run_proc("oval", "search", "--field", "q=9")
     assert proc.returncode == 3
@@ -253,8 +264,9 @@ def test_golden_output(case):
     explicit base 6,1,3, two seeded `desargues demo` runs on the large
     planes (`--field q=121 --random 2 --seed 3`, and `--field q=128
     --random 2 --seed 3 --format json`) and the errors for an all-zero
-    conic and an all-zero point, byte for byte as recorded in
-    tests/golden/ (a missing .err file means no stderr)."""
+    conic and an all-zero point, and the errors for a negative
+    `segre verify --samples` and `desargues demo --random`, byte for byte as
+    recorded in tests/golden/ (a missing .err file means no stderr)."""
     code, out, err = _run_text(*case["argv"])
     assert code == case["exit"]
     assert out == (GOLDEN / f"{case['name']}.out").read_bytes().decode("utf-8")

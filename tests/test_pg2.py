@@ -1,6 +1,7 @@
 """Incidence geometry of PG(2, q): points, lines, the plane cache,
 collineations, and frame transforms."""
 
+import gc
 import itertools
 import random
 
@@ -16,6 +17,7 @@ from galoisplane.errors import (
     ZeroVector,
 )
 from galoisplane import gf, pg2
+from galoisplane.conic import parse_conic, transform_conic
 from galoisplane.gf import make_field
 from galoisplane.linalg import Mat, det3, inverse3, mat_vec
 from galoisplane.pg2 import (
@@ -355,6 +357,48 @@ def test_plane_line_counts_match_line_hits():
             assert pl.line_counts(indices) == {li: m.bit_count() for li, m in hits.items()}
 
 
+def _brute_tangents(pl, indices):
+    """Per index, the lines through it that are incident with no other index."""
+    return [[li for li in pl.point_lines[i]
+             if not any(incident(pl.points[j], pl.lines[li]) for j in indices if j != i)]
+            for i in indices]
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2)])
+def test_plane_tangents_match_brute_force(p, k):
+    """Arcs, degenerate conic varieties (line pair, single point, double
+    line), seeded random sets with collinear triples, one point and no point:
+    `tangents` lists, per index and in `point_lines` order, exactly the lines
+    through it that meet no other index."""
+    spec = make_field(p, k)
+    q, pl = spec.q, plane(spec)
+
+    def variety(text):
+        return [pl.index(v) for v in parse_conic(spec, text).variety()]
+
+    single = next(v for b in range(q) for c in range(q)  # x^2 + bxy + cy^2 irreducible
+                  if len(v := variety(f"[1:{c}:0:{b}:0:0]")) == 1)
+    oval = variety("[1:0:0:0:0:-1]")
+    sets = [oval, oval[:4], variety("[0:0:0:1:0:0]"), single, variety("[1:0:0:0:0:0]")]
+    assert [len(t) for t in pl.tangents(oval)] == [1] * (q + 1)
+    if p == 2:  # the conic and its nucleus (1, 0, 0): a hyperoval, with no tangents
+        sets.append(oval + [0])
+        assert pl.tangents(sets[-1]) == [[]] * (q + 2)
+    rng = random.Random(1700 + q)
+    collinear_triples = 0
+    for _ in range(6):
+        s = rng.sample(range(pl.n), rng.randint(3, min(pl.n, 2 * q)))
+        collinear_triples += max(pl.line_counts(s).values()) >= 3
+        sets.append(s)
+    assert collinear_triples > 0
+    singles = [[i] for i in rng.sample(range(pl.n), 3)]
+    for s in sets + singles:
+        assert pl.tangents(s) == _brute_tangents(pl, s), s
+    for [i] in singles:
+        assert pl.tangents([i]) == [list(pl.point_lines[i])]
+    assert pl.tangents([]) == []
+
+
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (7, 1), (3, 2), (2, 3)])
 def test_plane_root_tables(p, k):
     spec = make_field(p, k)
@@ -530,7 +574,7 @@ def test_frame_transform_standard_frame():
 
 def test_frame_transform_matches_inverse_of_scaled_columns(monkeypatch):
     """One inverse3 plus a row rescale equals inverting [a|b|c] diag(lam);
-    the transform carries no inverse, so the first inverse() makes one."""
+    no collineation keeps its inverse, so each inverse() makes one."""
     calls = []
     monkeypatch.setattr(pg2, "inverse3", lambda m: calls.append(m) or inverse3(m))
     for p, k in ((5, 1), (2, 3), (3, 2)):
@@ -553,8 +597,31 @@ def test_frame_transform_matches_inverse_of_scaled_columns(monkeypatch):
             assert t.matrix == inverse3(scaled) and len(calls) == 1
             calls.clear()
             assert t.inverse().matrix == scaled == inverse3(t.matrix)
-            assert t.inverse().inverse() is t
             assert len(calls) == 1
+            assert t.inverse().inverse() == t
+            assert len(calls) == 3
+
+
+def test_transform_conic_on_fresh_collineations_leaves_no_garbage():
+    """A collineation keeps no inverse, so nothing links it back to itself:
+    with the cyclic collector off, 100 transform_conic calls on fresh
+    collineations leave nothing for gc.collect()."""
+    spec = make_field(7)
+    c = parse_conic(spec, "[1:0:0:0:0:-1]")
+    rng = random.Random(77)
+    matrices = []
+    while len(matrices) < 100:
+        m = Mat.from_rows([[spec.element(rng.randrange(7)) for _ in range(3)] for _ in range(3)])
+        if not det3(m).is_zero():
+            matrices.append(m)
+    gc.collect()
+    gc.disable()
+    try:
+        for m in matrices:
+            transform_conic(Collineation(m), c)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_frame_transform_degenerate_rejected():

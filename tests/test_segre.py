@@ -491,19 +491,21 @@ def test_reconstruct_every_oval_q3():
         assert is_nondegenerate(got).verdict
 
 
-def test_reconstruct_builds_no_point_mask(monkeypatch):
-    # the tangents are read off the line counts and the lines' index tuples
-    sizes = []
-    original = Plane.mask
+def test_reconstruct_makes_one_tangents_call(monkeypatch):
+    # every oval tangent comes from one Plane.tangents call over the oval
+    calls = []
+    original = Plane.tangents
 
-    def counted(self, points):
-        sizes.append(len(points))
-        return original(self, points)
+    def counted(self, indices):
+        calls.append(list(indices))
+        return original(self, indices)
 
-    monkeypatch.setattr(Plane, "mask", counted)
+    monkeypatch.setattr(Plane, "tangents", counted)
     spec = make_field(13)
-    reconstruct_conic(Arc(parse_conic(spec, "[1:0:0:0:0:-1]").variety()))
-    assert sizes == []
+    arc = Arc(parse_conic(spec, "[1:0:0:0:0:-1]").variety())
+    reconstruct_conic(arc)
+    pl = plane(spec)
+    assert calls == [[pl.index(p) for p in arc.points]]
 
 
 def test_only_the_arc_search_builds_line_masks(monkeypatch):
