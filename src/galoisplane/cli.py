@@ -1,15 +1,17 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 a mathematical self-check failed, 2 rejected input,
-3 a size bound was exceeded.  Randomized modes require an explicit seed and
-produce byte-identical output for the same arguments and seed; exhaustive
-modes are the default whenever they fit within the configured bounds.
+3 a size bound was exceeded, 141 stdout closed by its reader.  Randomized
+modes require an explicit seed and produce byte-identical output for the same
+arguments and seed; exhaustive modes are the default whenever they fit within
+the configured bounds.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -345,7 +347,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()  # a reader gone early fails here, not at exit
+        return rc
+    except BrokenPipeError:
+        # stdout's reader closed it (`| head`): silence the exit-time flush
+        # and exit 128 + SIGPIPE, as a Unix filter killed by the signal does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except BoundExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

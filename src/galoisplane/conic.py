@@ -11,9 +11,11 @@ of the codes as field elements.  The monomial order (x^2, y^2, z^2, xy, xz,
 yz) is fixed and shared with the least-squares style fitting code.
 
 The form is the upper matrix U = [[a, d, e], [0, b, f], [0, 0, c]] on codes,
-f(v) = v . (U v) in every characteristic; `evaluate`, `gradient`,
-`line_conic_intersect` and `transform_conic` compute with U through
-`linalg`'s code products, at every field order and with no element arithmetic.
+f(v) = v . (U v) in every characteristic, and its gradient is (U + U^T) v,
+with U + U^T built on codes by `_gradient_matrix`.  `evaluate`, `gradient`,
+`line_conic_intersect` and `transform_conic` compute with these matrices
+through `linalg`'s code products, at every field order and with no element
+arithmetic; elements appear only in what they return.
 
 The variety is found row by row of the plane enumeration, not point by point:
 on each row (1, y, *), on (0, 1, *) and at (0, 0, 1) the form is a
@@ -27,8 +29,8 @@ Non-degeneracy is judged two ways and the verdict is their conjunction:
     quadratic on a line with 3 roots vanishes identically);
   * differential (odd characteristic only): the gradient vanishes nowhere on
     the variety.  Like the variety, the scan runs on integer codes with the
-    field's op tables, so it too costs O(q) lookups, through the gradient map
-    that `segre.reconstruct_conic` also checks an oval with.
+    field's op tables, so it too costs O(q) lookups, through `pg2._code_map`
+    of `_gradient_matrix`, as `segre.reconstruct_conic` checks an oval.
 
 The two criteria disagree exactly on single-point varieties, where the
 combinatorial test has nothing to object to but the gradient dies at the
@@ -50,6 +52,7 @@ from .pg2 import (
     ProjPoint,
     _Codes,
     _canonical_codes,
+    _code_map,
     _element_codes,
     plane,
 )
@@ -156,26 +159,16 @@ def gradient(conic: Conic, p: ProjPoint) -> tuple:
     if spec.p == 2:
         raise EvenCharacteristic("the gradient criterion needs odd characteristic")
     _same_field("conic and point", spec, p.spec)
-    # U + U^T is twice the symmetric matrix; 2 is the constant polynomial, code 2
-    return _elements(spec, _scale(spec, _mat_vec(symmetric_matrix(conic), p.codes), 2))
+    return _elements(spec, _mat_vec(_gradient_matrix(conic), p.codes))
 
 
-def _gradient_map(conic: Conic):
-    """The gradient map v -> (U + U^T) v on codes, via the op tables (so
-    q <= 512): (2a*x + d*y + e*z, d*x + 2b*y + f*z, e*x + f*y + 2c*z)."""
-    add, mul, _, _ = conic.spec.op_tables()
+def _gradient_matrix(conic: Conic) -> Mat:
+    """U + U^T on codes, the matrix of v -> grad f(v); its diagonal 2a, 2b, 2c
+    scales by 2 % p, the code of 2 (zero in characteristic 2)."""
+    spec = conic.spec
     a, b, c, d, e, f = conic.codes
-    r2a, r2b, r2c = mul[add[a][a]], mul[add[b][b]], mul[add[c][c]]
-    rd, re, rf = mul[d], mul[e], mul[f]
-
-    def grad(x: int, y: int, z: int) -> tuple:
-        return (
-            add[add[r2a[x]][rd[y]]][re[z]],
-            add[add[rd[x]][r2b[y]]][rf[z]],
-            add[add[re[x]][rf[y]]][r2c[z]],
-        )
-
-    return grad
+    a2, b2, c2 = _scale(spec, (a, b, c), 2 % spec.p)
+    return Mat._of(spec, 3, 3, (a2, d, e, d, b2, f, e, f, c2))
 
 
 def tangent_at(conic: Conic, p: ProjPoint) -> ProjLine:
@@ -250,7 +243,7 @@ def is_nondegenerate(conic: Conic) -> NondegeneracyReport:
     The plane's per-line counts of the variety points give the maximum
     number on any line; `line_witness` is the lowest-index line holding that
     many, when it is 3 or more.  The gradient is evaluated at each variety
-    point on the field's op-table codes, by `_gradient_map`;
+    point on the field's op-table codes, by `_code_map` of `_gradient_matrix`;
     `gradient_witness` is the first point, in plane order, where it vanishes.
     """
     spec = conic.spec
@@ -265,7 +258,7 @@ def is_nondegenerate(conic: Conic) -> NondegeneracyReport:
 
     gradient_ok = gradient_witness = None
     if spec.p != 2:
-        grad = _gradient_map(conic)
+        grad = _code_map(_gradient_matrix(conic))
         gradient_witness = next((p for p in pts if not any(grad(*p.codes))), None)
         gradient_ok = gradient_witness is None
 
@@ -287,13 +280,11 @@ def upper_matrix(conic: Conic) -> Mat:
 
 
 def symmetric_matrix(conic: Conic) -> Mat:
-    """The symmetric Gram matrix; odd characteristic only (needs 1/2)."""
+    """The symmetric Gram matrix (U + U^T) / 2; odd characteristic only."""
     spec = conic.spec
     if spec.p == 2:
         raise EvenCharacteristic("the symmetric matrix needs odd characteristic")
-    a, b, c, d, e, f = conic.codes
-    hd, he, hf = _scale(spec, (d, e, f), _inv(spec, 2))
-    return Mat._of(spec, 3, 3, (a, hd, he, hd, b, hf, he, hf, c))
+    return Mat._of(spec, 3, 3, _scale(spec, _gradient_matrix(conic).codes, _inv(spec, 2)))
 
 
 def transform_conic(t: Collineation, conic: Conic) -> Conic:

@@ -16,7 +16,9 @@ Representation conventions:
   least code whose powers have period q-1: the antilog table over two
   periods, the log table, the Zech logarithms zech[n] = log(1 + g^n) (-1
   where 1 + g^n = 0) and log(-1) (Lidl & Niederreiter, Finite Fields,
-  section 10.3).  Each of + - * / neg inv ** is then a table lookup.
+  section 10.3).  Each of + - * / neg inv ** is then a table lookup, and the
+  op tables, negative-int coercion and the Wilson self-check make the same
+  lookups on codes: in the library only row reduction uses the operators.
 - Field construction is capped (default 2**14): everything downstream works
   by exhaustive enumeration, so unbounded orders only produce silent hangs.
 
@@ -175,10 +177,11 @@ class FieldSpec:
             return value
         if isinstance(value, int):
             if value < 0:
-                # additive inverse of the element coded by the magnitude
+                # additive inverse of the element coded by the magnitude: its
+                # digits negated, reduced mod p by the coefficient path below
                 if -value >= self.q:
                     raise ValueError(f"element code {value} out of range for GF({self.q})")
-                return -self.from_int(-value)
+                return self.element([-d for d in _digits(-value, self.p, self.k)])
             return self.from_int(value)
         if isinstance(value, (list, tuple)):
             if len(value) != self.k:
@@ -193,7 +196,8 @@ class FieldSpec:
         return self._elements
 
     def op_tables(self):
-        """Integer-code operation tables (add, mul, neg, inv) for small fields.
+        """Integer-code operation tables (add, mul, neg, inv) for small fields,
+        filled with the operators' kernel lookups, so no element is made.
 
         inv[0] is -1 as a sentinel; callers in the geometry layer only index
         it with nonzero codes.
@@ -204,11 +208,14 @@ class FieldSpec:
                 raise BoundExceeded(
                     f"op tables supported only for q <= {_TABLE_MAX_ORDER}, got q={q}"
                 )
-            elems = self.elements()
-            add = [[(a + b).code for b in elems] for a in elems]
-            mul = [[(a * b).code for b in elems] for a in elems]
-            neg = [(-a).code for a in elems]
-            inv = [-1] + [a.inv().code for a in elems[1:]]
+            antilog, log, zech, log_m1 = self._kernel or self._build_kernel()
+            logs = log[1:]
+            # the Zech step of __add__: g^la + g^lb = g^la * (1 + g^(lb - la))
+            add = [list(range(q))] + [[a] + [antilog[la + z] if z >= 0 else 0 for z in [
+                zech[lb - la] for lb in logs]] for a, la in enumerate(logs, 1)]
+            mul = [[0] * q] + [[0] + [antilog[la + lb] for lb in logs] for la in logs]
+            neg = [0] + [antilog[la + log_m1] for la in logs]
+            inv = [-1] + [antilog[q - 1 - la] for la in logs]
             self._tables = (add, mul, neg, inv)
         return self._tables
 
@@ -403,14 +410,14 @@ def product_nonzero(spec: FieldSpec) -> FieldElement:
     """Product over all nonzero elements; self-checks that it equals -1.
 
     The codes 1..q-1 are folded on the kernel with __mul__'s own lookup,
-    antilog[log(a) + log(b)], so no element is made until the result.
+    antilog[log(a) + log(b)], and checked against p - 1, the code of -1.
     """
     antilog, log, _, _ = spec._kernel or spec._build_kernel()
     acc = 1
     for lc in log[1:]:
         acc = antilog[log[acc] + lc]
     result = FieldElement(spec, acc)
-    if result != -spec.one():
+    if acc != spec.p - 1:
         raise InternalCheckFailed(
             f"product of nonzero elements of GF({spec.q}) returned {result!r}, expected -1"
         )

@@ -504,13 +504,13 @@ def frame_transform(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint) -> C
 def _code_map(m: Mat):
     """The map (x, y, z) -> m @ (x, y, z) on integer codes, via the op tables.
 
-    The image is not scaled to canonical form, so it serves only where the
-    result is unchanged by a nonzero scalar: the coordinate ratios of the
-    tangent-frame slope scan.  Raises BoundExceeded above the op-table cap
-    (q = 512).
+    The image is exact but not canonical: the tangent-frame slope scan reads
+    its coordinate ratios, and the gradient scans of `conic.is_nondegenerate`
+    and `segre.reconstruct_conic` the gradients of `conic._gradient_matrix`.
+    Raises BoundExceeded above the op-table cap (q = 512).
     """
     add, mul, _, _ = m.spec.op_tables()
-    r00, r01, r02, r10, r11, r12, r20, r21, r22 = (mul[x] for x in m.codes)
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = map(mul.__getitem__, m.codes)
 
     def image(x: int, y: int, z: int) -> tuple:
         return (

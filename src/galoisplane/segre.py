@@ -26,16 +26,17 @@ with the op tables; its slopes are coordinate ratios, so the image needs no
 scaling.  The certificate's checks say that the oval's tangent at each of
 its points is the conic's, which holds in every frame, so they run in the
 oval's own coordinates, one gradient per point (see `reconstruct_conic`),
-and no frame transform is ever inverted.
+and no frame transform is ever inverted.  Both scans map points with
+`pg2._code_map`, through the frame matrix and through U + U^T.
 
 An `Arc` keeps the last frame `tangent_frame` built on it, for one base, so
 the chain tangent_frame -> lemma_of_tangents -> reconstruct_conic on one arc
 and base scans the oval once.  The lemma's tangent triangle, centres and
 pencil lines, and the fit oracles' monomial rows and pencil members, are
 built from codes on the field's log/antilog/Zech kernel, at every field
-order.  The only element arithmetic left on the way is row reduction: the
-fit's nullspace, and the joins and meets by which `perspective_center`
-computes the lemma's centre independently of its closed form.
+order, as is the Desargues sampler.  The only element arithmetic left on
+the way is row reduction: the fit's nullspace, and the joins and meets by
+which `perspective_center` computes the lemma's centre independently.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .arcs import Arc, is_arc
-from .conic import Conic, _gradient_map, _pullback, is_nondegenerate
+from .conic import Conic, _gradient_matrix, _pullback, is_nondegenerate
 from .errors import (
     Degenerate,
     DegenerateTriangle,
@@ -178,12 +179,11 @@ def sample_perspective_triangles(spec: FieldSpec, rng, *, max_tries: int = 5000)
             continue
         if c in p or any(collinear(c, p[i], p[j]) for i, j in _SIDE_PAIRS):
             continue
-        t = [spec.from_int(1 + rng.randrange(spec.q - 1)) for _ in range(3)]
-        cc = c.coords
-        s = tuple(
-            ProjPoint(tuple(x + t[i] * y for x, y in zip(p[i].coords, cc)))
-            for i in range(3)
-        )
+        t = [1 + rng.randrange(spec.q - 1) for _ in range(3)]
+        # a coordinate x of p_i and y of c gives x + t_i * y = (x, y) . (1, t_i)
+        s = tuple(ProjPoint._of(spec, _canonical_codes(spec, tuple(
+            _dot(spec, (x, y), (1, ti)) for x, y in zip(pi.codes, c.codes))))
+            for pi, ti in zip(p, t))
         if len(set(s)) != 3 or collinear(*s) or (set(s) & set(p)):
             continue
         # No side is shared: s_i != p_i both lie on the line c p_i, so s_i on
@@ -547,7 +547,7 @@ def reconstruct_conic(oval: Arc, base=None) -> tuple:
     tangents = pl.tangents([pl.index(p) for p in oval.points])
 
     add, mul, _, _ = spec.op_tables()
-    grad = _gradient_map(conic)
+    grad = _code_map(_gradient_matrix(conic))
     all_points_ok = identities_ok = True
     base_set = set(frame0.base)
     for p, tl in zip(oval.points, tangents):

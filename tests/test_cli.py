@@ -1,6 +1,7 @@
 """Command line behavior: output shape, exit codes, and reproducibility."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -220,6 +221,29 @@ def test_missing_points_file():
     proc = _run_proc("segre", "reconstruct", "--field", "q=5",
                      "--points", "/nonexistent/path.txt")
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("argv, lines_read", [
+    # about 149 kB, more than a pipe holds: the reader goes mid-output
+    (("oval", "search", "--field", "q=5"), 1),
+    # a few lines, still in stdout's buffer when the run ends
+    (("plane", "info", "--field", "q=5"), 0),
+])
+def test_closed_stdout_exits_141_quietly(argv, lines_read):
+    """A reader that closes stdout early, as `| head -1` or `| true` does,
+    ends the run with exit code 141 (128 + SIGPIPE) and nothing on stderr,
+    with stdout block-buffered as it is by default."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "galoisplane", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    for _ in range(lines_read):
+        proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (141, b"")
 
 
 def test_console_script_entry():

@@ -7,6 +7,7 @@ import pytest
 
 from galoisplane.conic import (
     Conic,
+    _gradient_matrix,
     combinatorial_tangents,
     evaluate,
     gradient,
@@ -27,12 +28,13 @@ from galoisplane.errors import (
     ZeroVector,
 )
 from galoisplane.gf import make_field
-from galoisplane.linalg import Mat
+from galoisplane.linalg import Mat, mat_vec
 from galoisplane.errors import Singular
 from galoisplane.pg2 import (
     Collineation,
     ProjLine,
     ProjPoint,
+    _code_map,
     canonicalize,
     incident,
     iter_points,
@@ -579,3 +581,26 @@ def test_gradient_scan_matches_gradient():
             assert report.gradient_witness == expected, (q, ints)
             seen.add(report.gradient_ok)
     assert seen == {True, False}
+
+
+def test_gradient_matrix_map_matches_gradient_and_symmetric_matrix():
+    """The op-table map of U + U^T, which the non-degeneracy scan and the
+    oval certificate read, gives at every variety point of seeded conics
+    the codes of `gradient` and of 2 * symmetric_matrix * p, the latter in
+    element arithmetic, at odd q from 3 to 121."""
+    rng = random.Random(53)
+    for p, k in ((3, 1), (5, 1), (3, 2), (5, 2), (11, 2)):
+        spec = make_field(p, k)
+        two = spec.one() + spec.one()
+        conics = [_conic(spec, 1, 0, 0, 0, 0, -1)]
+        while len(conics) < 6:
+            ints = [rng.randrange(spec.q) for _ in range(6)]
+            if any(ints):
+                conics.append(_conic(spec, *ints))
+        for c in conics:
+            grad = _code_map(_gradient_matrix(c))
+            s = symmetric_matrix(c)
+            for pt in c.variety():
+                got = grad(*pt.codes)
+                assert got == tuple(g.to_int() for g in gradient(c, pt))
+                assert got == tuple((two * g).to_int() for g in mat_vec(s, pt.coords))

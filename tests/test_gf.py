@@ -97,7 +97,11 @@ def test_power_and_inverse():
 
 
 def test_op_tables_match_element_arithmetic():
-    for spec in (make_field(5), make_field(2, 3), make_field(3, 2)):
+    """The tables are read off the kernel; the element operators are the
+    reference, at small orders and at the planes' largest, GF(121) and
+    GF(128)."""
+    for spec in (make_field(5), make_field(2, 3), make_field(3, 2),
+                 make_field(11, 2), make_field(2, 7)):
         add, mul, neg, inv = spec.op_tables()
         elems = spec.elements()
         q = spec.q

@@ -11,7 +11,15 @@ import random
 import pytest
 
 from galoisplane.arcs import Arc, is_arc, search_maximal_arcs, tangent_lines
-from galoisplane.conic import combinatorial_tangents, is_nondegenerate, parse_conic
+from galoisplane.conic import (
+    combinatorial_tangents,
+    gradient,
+    is_nondegenerate,
+    parse_conic,
+    tangent_at,
+    transform_conic,
+    variety_of,
+)
 from galoisplane import segre
 from galoisplane.errors import (
     BoundExceeded,
@@ -29,7 +37,7 @@ from galoisplane.errors import (
     VerificationFailed,
 )
 from galoisplane import linalg, pg2
-from galoisplane.gf import FieldElement, make_field
+from galoisplane.gf import FieldElement, FieldSpec, make_field, product_nonzero
 from galoisplane.linalg import Mat, nullspace
 from galoisplane.pg2 import (
     Collineation,
@@ -670,6 +678,41 @@ def test_lemma_and_oracles_make_element_arithmetic_only_in_row_reduction():
         oracle = segre._pencil_oracle if spec.q == 3 else fit_conic_nullspace
         assert _count_element_ops(oracle, pts) == \
             _count_element_ops(nullspace, _element_rows(pts)) > 0
+
+
+@pytest.mark.parametrize("p, k", [(7, 1), (3, 2), (11, 2)], ids=["q7", "q9", "q121"])
+def test_code_paths_make_no_element_arithmetic(p, k):
+    """Outside row reduction the library works on codes: a cold op-table
+    build (which also leaves the element list unbuilt), the Wilson check,
+    the Desargues sampler, varieties and non-degeneracy reports (of the
+    standard conic and of a line pair, whose gradient vanishes), gradients
+    and tangents, a conic pushed through a collineation, a tangent frame on
+    a fresh arc, and a parsed conic with negative coefficients make no
+    FieldElement operator call."""
+    spec = make_field(p, k)
+    cold = FieldSpec(spec.p, spec.k, spec.modulus)
+    assert _count_element_ops(cold.op_tables) == 0
+    assert cold._elements is None
+    assert _count_element_ops(product_nonzero, spec) == 0
+    q = spec.q
+    rng = random.Random(q)
+    assert _count_element_ops(lambda: [sample_perspective_triangles(spec, rng)
+                                       for _ in range(5)]) == 0
+    std = _oval(spec)  # x^2 - yz
+    assert _count_element_ops(parse_conic, spec, "[1:0:0:0:0:-1]") == 0
+    assert _count_element_ops(parse_conic, spec, f"[-1:-{q - 1}:0:-2:0:-1]") == 0
+    conics = (parse_conic(spec, "[1:0:0:0:0:-1]"), parse_conic(spec, "[0:0:0:1:0:0]"))
+    # det = 2 - e for e the element of code 3, so never 0
+    t = Collineation(Mat(spec, 3, 3, tuple(map(spec.from_int, (2, 1, 3, 0, 1, 2, 1, 0, 0)))))
+    for c in conics:
+        assert _count_element_ops(variety_of, c) == 0
+        assert _count_element_ops(is_nondegenerate, c) == 0
+        assert _count_element_ops(transform_conic, t, c) == 0
+    pt = std.points[1]
+    assert _count_element_ops(gradient, conics[0], pt) == 0
+    assert _count_element_ops(tangent_at, conics[0], pt) == 0
+    assert _count_element_ops(
+        tangent_frame, Arc(std.points, _trusted=True), std.points[:3]) == 0
 
 
 def _count_frame_scans(monkeypatch):
