@@ -177,7 +177,7 @@ class Arc:
 
 def tangent_lines(arc: Arc, p: ProjPoint) -> list:
     """Lines through an arc point meeting the arc only there: the point's
-    entry of `Plane.tangents` over the arc, in `point_lines` order.
+    entry of `Plane.tangents` over the arc, in ascending line index.
 
     An arc of size n has exactly q + 2 - n tangents at each of its points:
     of the q + 1 lines through p, the n - 1 secants to the other arc points

@@ -206,7 +206,7 @@ def line_conic_intersect(conic: Conic, l: ProjLine) -> list:
 
 def combinatorial_tangents(conic: Conic, p: ProjPoint) -> list:
     """Lines through p meeting the variety only at p, in any characteristic:
-    p's entry of `Plane.tangents` over the variety, in `point_lines` order.
+    p's entry of `Plane.tangents` over the variety, in ascending line index.
 
     For a non-degenerate conic this is a single line per variety point; for
     degenerate ones it may be empty or contain several lines.

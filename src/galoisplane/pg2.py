@@ -17,10 +17,12 @@ perfbench's tracer test pins one join to one nullspace call.
 
 Plane enumeration order is fixed: points (1, y, z) with y then z running
 through the field's code order, then (0, 1, z), then (0, 0, 1); lines use the
-same triple order for their coefficient vectors.
+same triple order for their coefficient vectors.  Incidence, the dot product,
+is symmetric, so under this numbering the plane is self-dual: the lines
+through point i are the points of line i, in the same ascending order.
 
-The Plane class caches the incidence structure (point and line lists,
-per-line point indices, per-point line indices) in integer-code space and
+The Plane class caches the incidence structure (point and line lists, and
+points per line, read also as lines per point) in integer-code space and
 counts incidences of point sets on it, so that search, tangent and
 verification loops run on plain ints: `line_hits` gives per line the
 positions of the points it holds, `line_counts` only how many (one Counter
@@ -215,7 +217,9 @@ def iter_points(spec: FieldSpec):
 
 
 class Plane:
-    """Cached incidence structure of PG(2, q), built once per spec; line masks on first read."""
+    """Cached incidence structure of PG(2, q), built once per spec; line masks on first read.
+
+    `point_lines` is `line_points`: lines take the points' triple order, incidence is symmetric."""
 
     __slots__ = (
         "spec", "n", "points", "lines", "point_index",
@@ -252,13 +256,7 @@ class Plane:
                 line_points.append(tuple(rows[mul[neg[inv[b]]][a]]) + (index[-1],))
             else:
                 line_points.append(tuple(index[qq:]))
-        self.line_points = tuple(line_points)
-
-        by_point = [[] for _ in range(self.n)]
-        for li, pts in enumerate(self.line_points):
-            for pi in pts:
-                by_point[pi].append(li)
-        self.point_lines = tuple(tuple(ls) for ls in by_point)
+        self.line_points = self.point_lines = tuple(line_points)
         self._line_masks = None
 
         # Per code s, the ascending codes w with w*w = s and with w*w + w = s.
@@ -318,7 +316,7 @@ class Plane:
         through it holding no other given point: those `line_counts` counts once.
 
         Such a line is counted while the chain walks its one point's lines, so
-        the counts' insertion order keeps `point_lines` order.
+        the counts' insertion order keeps `point_lines` order: ascending line index.
         """
         line_points = self.line_points
         given = set(indices)
@@ -388,7 +386,8 @@ def verify_axioms(spec: FieldSpec, *, max_order: int = 13) -> AxiomReport:
     """Exhaustively check the projective plane axioms and counting facts.
 
     Mathematical failures are reported, not raised; only the size bound
-    raises.
+    raises.  By duality, joins and meets read one table on a built plane;
+    each attribute is still checked, so that a doctored one is caught.
     """
     q = spec.q
     if q > max_order:

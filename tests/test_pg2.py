@@ -284,13 +284,22 @@ def test_plane_cache_identity():
 
 
 def test_plane_line_points_match_span():
-    """Each line's cached point indices are exactly the points incident with
-    it by the code dot product, checked over every point-line pair."""
+    """Each line's cached point indices, and each point's cached line indices,
+    are exactly those incident by the code dot product, in ascending order,
+    checked over every point-line pair."""
     for p, k in ((2, 2), (3, 1), (2, 3), (3, 2), (2, 4), (5, 2)):
         pl = plane(make_field(p, k))
-        for li, l in enumerate(pl.lines):
-            on = tuple(i for i, x in enumerate(pl.points) if incident(x, l))
-            assert pl.line_points[li] == on
+        on = [[incident(x, l) for l in pl.lines] for x in pl.points]
+        for i in range(pl.n):
+            assert pl.line_points[i] == tuple(j for j in range(pl.n) if on[j][i])
+            assert pl.point_lines[i] == tuple(j for j in range(pl.n) if on[i][j])
+
+
+def test_plane_holds_one_incidence_table():
+    # the plane is self-dual: the lines through point i are the points of line i
+    for p, k in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (11, 1)):
+        pl = Plane(make_field(p, k))
+        assert pl.point_lines is pl.line_points
 
 
 def test_plane_pair_line_agrees_with_join():
