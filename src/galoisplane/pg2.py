@@ -21,24 +21,29 @@ same triple order for their coefficient vectors.  Incidence, the dot product,
 is symmetric, so under this numbering the plane is self-dual: the lines
 through point i are the points of line i, in the same ascending order.
 
-The Plane class caches the incidence structure (point and line lists, and
-points per line, read also as lines per point) in integer-code space and
-counts incidences of point sets on it, so that search, tangent and
-verification loops run on plain ints: `line_hits` gives per line the
-positions of the points it holds, `line_counts` only how many (one Counter
-over the lines through the points, so the counting runs in C), `tangents`
-per point the lines counted once, for every tangent question.  Only the arc
-search reads line bitmasks, built on its first use.  It also holds two root
-tables of q entries each, built in O(q) from the field's operation tables:
-per code s, the ascending codes w with w*w = s (`square_roots`) and with
-w*w + w = s (`unit_roots`).  Together they solve any quadratic over the
-field, in every characteristic (see `conic.variety_of`).
+The Plane class caches the incidence structure in integer-code space: the
+point and line lists, built in O(n), and the points per line, read also as
+lines per point.  Rows and masks are built on first read: each line's row
+comes from a closed form on the op tables when it is first indexed, so a
+plane costs O(n) at set-up, not O(n*q), and a request pays only for the
+lines it reads.  The plane counts incidences of point sets on the rows, so
+that search, tangent and verification loops run on plain ints: `line_hits`
+gives per line the positions of the points it holds, `line_counts` only how
+many (one Counter over the lines through the points, so the counting runs in
+C), `tangents` per point the lines counted once, for every tangent question.
+Only the arc search reads line bitmasks, built on its first use.  The plane
+also holds two root tables of q entries each, built in O(q) from the field's
+operation tables: per code s, the ascending codes w with w*w = s
+(`square_roots`) and with w*w + w = s (`unit_roots`).  Together they solve
+any quadratic over the field, in every characteristic (see
+`conic.variety_of`).
 """
 
 from __future__ import annotations
 
 import operator
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, combinations
 
@@ -216,8 +221,66 @@ def iter_points(spec: FieldSpec):
         yield ProjPoint._of(spec, codes)
 
 
+class _LineRows(Sequence):
+    """Per line index, the ascending indices of the line's points: a read-only
+    sequence whose rows are built on first read and kept in `_rows`.  It takes
+    int indices, negative ones as a tuple does, but no slices.
+
+    Line i has the code triple of point i.  The points on [a:b:c], as indices
+    ((1, y, z) is y*q + z, (0, 1, z) is q*q + z), are (1, y, -(a + b*y)/c) per
+    y and (0, 1, -b/c) if c != 0; else (1, -a/b, z) per z and (0, 0, 1) if
+    b != 0; else (0, 1, z) and (0, 0, 1).  Entries come from one index list,
+    so all rows share n ints.  It holds the op tables and index lists but not
+    the plane, so a plane and its rows form no reference cycle.
+    """
+
+    __slots__ = ("_rows", "_by_y", "_tail", "_ops")
+
+    def __init__(self, spec: FieldSpec):
+        q = spec.q
+        qq = q * q
+        index = list(range(qq + q + 1))
+        self._by_y = [index[y * q:y * q + q] for y in range(q)]  # [y][z]: (1, y, z)
+        self._tail = index[qq:]                                  # [z]: (0, 1, z); [q]: (0, 0, 1)
+        self._ops = spec.op_tables()
+        self._rows = [None] * len(index)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i) -> tuple:
+        i = operator.index(i)
+        row = self._rows[i]
+        if row is None:
+            row = self._rows[i] = self._build(i % len(self._rows))
+        return row
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self._rows)))
+
+    def _build(self, i: int) -> tuple:
+        by_y, tail = self._by_y, self._tail
+        add, mul, neg, inv = self._ops
+        q = len(by_y)
+        if i < q * q:
+            a, b, c = 1, i // q, i % q
+        elif i < q * q + q:
+            a, b, c = 0, 1, i - q * q
+        else:
+            a, b, c = 0, 0, 1
+        if c:
+            m = mul[neg[inv[c]]]
+            pts = list(map(operator.getitem, by_y, map(add[m[a]].__getitem__, mul[m[b]])))
+            pts.append(tail[m[b]])
+            return tuple(pts)
+        if b:
+            return tuple(by_y[mul[neg[inv[b]]][a]]) + (tail[-1],)
+        return tuple(tail)
+
+
 class Plane:
-    """Cached incidence structure of PG(2, q), built once per spec; line masks on first read.
+    """Cached incidence structure of PG(2, q), built once per spec in O(n);
+    line rows and masks on first read.
 
     `point_lines` is `line_points`: lines take the points' triple order, incidence is symmetric."""
 
@@ -230,36 +293,16 @@ class Plane:
         self.spec = spec
         q = spec.q
         self.n = q * q + q + 1
-        add, mul, neg, inv = spec.op_tables()
 
         code_triples = list(iter_point_codes(spec))
         self.points = tuple(ProjPoint._of(spec, t) for t in code_triples)
         self.lines = tuple(ProjLine._of(spec, t) for t in code_triples)
         self.point_index = {p: i for i, p in enumerate(self.points)}
-
-        # Points on [a:b:c] as ascending indices ((1, y, z) is y*q + z,
-        # (0, 1, z) is q*q + z): (1, y, -(a + b*y)/c) per y and (0, 1, -b/c)
-        # if c != 0; else (1, -a/b, z) per z and (0, 0, 1) if b != 0; else
-        # (0, 1, z) and (0, 0, 1).  Entries come from one index list, so all
-        # lines share n ints, and each tuple is built once at its final size.
-        qq = q * q
-        index = list(range(self.n))
-        rows = [index[y * q:y * q + q] for y in range(q)]
-        line_points = []
-        for (a, b, c) in code_triples:
-            if c:
-                m = mul[neg[inv[c]]]
-                pts = list(map(operator.getitem, rows, map(add[m[a]].__getitem__, mul[m[b]])))
-                pts.append(index[qq + m[b]])
-                line_points.append(tuple(pts))
-            elif b:
-                line_points.append(tuple(rows[mul[neg[inv[b]]][a]]) + (index[-1],))
-            else:
-                line_points.append(tuple(index[qq:]))
-        self.line_points = self.point_lines = tuple(line_points)
+        self.line_points = self.point_lines = _LineRows(spec)
         self._line_masks = None
 
         # Per code s, the ascending codes w with w*w = s and with w*w + w = s.
+        add, mul, _, _ = spec.op_tables()
         square_roots = [[] for _ in range(q)]
         unit_roots = [[] for _ in range(q)]
         for w in range(q):

@@ -253,6 +253,47 @@ def test_tangent_lines_requires_membership():
         tangent_lines(arc, _pt(make_field(7), 1, 1, 1))
 
 
+def _complete_arc(pl, rng):
+    """The indices of a complete arc, grown greedily in a seeded order."""
+    chosen = []
+    for i in rng.sample(range(pl.n), pl.n):
+        if max(pl.line_counts(chosen + [i]).values()) <= 2:
+            chosen.append(i)
+    return chosen
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 2)])
+def test_one_point_tangents_are_that_points_entry_of_plane_tangents(p, k):
+    """`tangent_lines` and `combinatorial_tangents` read one point's row, and
+    give that point's entry of `Plane.tangents` over the whole set: on seeded
+    complete arcs and their halves, on the standard conic, and on a line pair
+    and a single-point conic (the last two below q = 121)."""
+    spec = make_field(p, k)
+    q, pl = spec.q, plane(spec)
+
+    def entries(indices):
+        return [[pl.lines[li] for li in t] for t in pl.tangents(indices)]
+
+    conics = [parse_conic(spec, "[1:0:0:0:0:-1]")]
+    if q < 121:
+        single = next(c for b in range(q) for e in range(q)  # x^2 + bxy + ey^2 irreducible
+                      if len((c := parse_conic(spec, f"[1:{e}:0:{b}:0:0]")).variety()) == 1)
+        conics += [parse_conic(spec, "[0:0:0:1:0:0]"), single]
+    arcs = [Arc(conics[0].variety())]
+    if q < 121:
+        rng = random.Random(2300 + q)
+        for _ in range(2):
+            complete = _complete_arc(pl, rng)
+            arcs += [Arc(pl.points[i] for i in s) for s in (complete, complete[::2])]
+    for arc in arcs:
+        for p_, want in zip(arc.points, entries([pl.index(x) for x in arc.points])):
+            assert tangent_lines(arc, p_) == want
+    for c in conics:
+        var = c.variety()
+        for p_, want in zip(var, entries([pl.index(x) for x in var])):
+            assert combinatorial_tangents(c, p_) == want
+
+
 def test_search_counts_q3():
     spec = make_field(3)
     arcs = search_maximal_arcs(spec, 4)

@@ -17,6 +17,7 @@ from galoisplane.errors import (
     ZeroVector,
 )
 from galoisplane import gf, pg2
+from galoisplane.arcs import Arc
 from galoisplane.conic import parse_conic, transform_conic
 from galoisplane.gf import make_field
 from galoisplane.linalg import Mat, det3, inverse3, mat_vec
@@ -40,6 +41,7 @@ from galoisplane.pg2 import (
     point_sort_key,
     verify_axioms,
 )
+from galoisplane.segre import reconstruct_conic
 
 
 def _e(spec, *codes):
@@ -136,6 +138,7 @@ def test_plane_build_creates_no_field_element(monkeypatch):
     for spec in specs:
         pl = Plane(spec)
         assert len(pl.points) == spec.q * spec.q + spec.q + 1
+        assert all(len(row) == spec.q + 1 for row in pl.line_points)
     assert made == []
 
 
@@ -286,13 +289,58 @@ def test_plane_cache_identity():
 def test_plane_line_points_match_span():
     """Each line's cached point indices, and each point's cached line indices,
     are exactly those incident by the code dot product, in ascending order,
-    checked over every point-line pair."""
+    checked over every point-line pair.  On a fresh plane, rows read first by
+    negative index, then `len`, iteration and `list`, agree with them."""
     for p, k in ((2, 2), (3, 1), (2, 3), (3, 2), (2, 4), (5, 2)):
-        pl = plane(make_field(p, k))
+        spec = make_field(p, k)
+        pl = plane(spec)
+        n = pl.n
         on = [[incident(x, l) for l in pl.lines] for x in pl.points]
-        for i in range(pl.n):
-            assert pl.line_points[i] == tuple(j for j in range(pl.n) if on[j][i])
-            assert pl.point_lines[i] == tuple(j for j in range(pl.n) if on[i][j])
+        want = [tuple(j for j in range(n) if on[j][i]) for i in range(n)]
+        for i in range(n):
+            assert pl.line_points[i] == want[i]
+            assert pl.point_lines[i] == tuple(j for j in range(n) if on[i][j])
+        rows = Plane(spec).line_points
+        assert [rows[i - n] for i in range(n)] == want
+        assert all(rows[i - n] is rows[i] for i in range(n))
+        assert len(rows) == n and list(rows) == want
+        assert [row for row in rows] == [rows[i] for i in range(n)]
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                rows[i]
+
+
+@pytest.mark.parametrize("p,k", [(11, 2), (2, 7)])
+def test_fresh_plane_builds_no_line_row(p, k):
+    pl = Plane(make_field(p, k))
+    assert pl.line_points._rows == [None] * pl.n
+
+
+def test_reconstruction_builds_only_the_rows_it_reads(monkeypatch):
+    """One reconstruction of the standard oval at q = 121 reads the rows of
+    its points and of their tangents: at most 2(q+1) of the plane's 14 763."""
+    monkeypatch.setattr(pg2, "_plane_cache", {})
+    spec = make_field(11, 2)
+    oval = Arc(parse_conic(spec, "[1:0:0:0:0:-1]").variety())
+    rows = plane(spec).line_points._rows
+    reconstruct_conic(oval)
+    assert 0 < len(rows) - rows.count(None) <= 2 * (spec.q + 1)
+
+
+def test_fresh_planes_read_in_full_leave_no_garbage():
+    """The row table holds no reference to its plane: with the cyclic
+    collector off, fresh q = 7 planes with every row read leave nothing for
+    gc.collect()."""
+    spec = make_field(7)
+    spec.op_tables()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(20):
+            assert len(list(Plane(spec).line_points)) == 57
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_plane_holds_one_incidence_table():
