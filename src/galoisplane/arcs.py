@@ -13,7 +13,7 @@ emitted straight from the candidate mask.  Plane index order is the
 
 from __future__ import annotations
 
-from itertools import chain, combinations
+from itertools import combinations
 
 from .errors import BoundExceeded, EqualPoints, Degenerate, PointNotOnArc
 from .gf import FieldSpec
@@ -34,15 +34,12 @@ def is_arc(points) -> tuple:
 
     The witness is the first equal pair, else the first collinear triple, in
     `itertools.combinations` order over the input positions.  Up to
-    PLANE_MAX_ORDER each point is looked up in the cached plane, and one
-    C-level pass, the set of lines through the points, decides arc-ness.
-    For n distinct points with m_l of them on line l, each pair lies on one
-    line, so the sum of C(m_l, 2) is C(n, 2), while the lines met number
-    n(q + 1) minus the sum of (m_l - 1).  As m - 1 <= C(m, 2), with equality
-    iff m <= 2, the lines met number n(q + 1) - C(n, 2) exactly when no line
-    holds three of the points.  Only when one does are the plane's per-line
-    masks of input positions built for the witness: a line holding three or
-    more carries a collinear triple, its three lowest positions first.
+    PLANE_MAX_ORDER each point is looked up in the cached plane, and the
+    plane's one lines-met count, `Plane._holds_no_three` (the number of lines
+    the distinct points meet), decides arc-ness.  Only when some line holds
+    three are the plane's per-line masks of input positions built for the
+    witness: a line holding three or more carries a collinear triple, its
+    three lowest positions first.
     Above that order no plane exists, and every pair is compared and every
     triple's determinant tested.
     """
@@ -64,9 +61,7 @@ def is_arc(points) -> tuple:
             if first != pos and (duplicate is None or first < duplicate[0]):
                 duplicate = (first, pos)
         return False, (pts[duplicate[0]], pts[duplicate[1]])
-    n = len(indices)
-    lines_met = len(set(chain.from_iterable(pl.point_lines[i] for i in indices)))
-    if lines_met == n * (spec.q + 1) - n * (n - 1) // 2:
+    if pl._holds_no_three(indices):
         return True, None
 
     witness = None

@@ -241,19 +241,26 @@ class NondegeneracyReport:
 def is_nondegenerate(conic: Conic) -> NondegeneracyReport:
     """Run both non-degeneracy criteria over the full plane.
 
-    The plane's per-line counts of the variety points give the maximum
-    number on any line; `line_witness` is the lowest-index line holding that
-    many, when it is 3 or more.  The gradient is evaluated at each variety
-    point on the field's op-table codes, by `_code_map` of `_gradient_matrix`;
-    `gradient_witness` is the first point, in plane order, where it vanishes.
+    The plane's one lines-met count, `Plane._holds_no_three`, decides whether
+    some line holds three variety points; when none does, the most on a line
+    is min(|V|, 2).  Only when one does, the degenerate case, are the
+    per-line counts built: they give the maximum number on any line, and
+    `line_witness`, the lowest-index line holding that many.  Either way the
+    plane reads the |V| rows of the variety points, |V|(q + 1) incidences.
+    The gradient is evaluated at each variety point on the field's op-table
+    codes, by `_code_map` of `_gradient_matrix`; `gradient_witness` is the
+    first point, in plane order, where it vanishes.
     """
     spec = conic.spec
     pl = plane(spec)
     pts = variety_of(conic)
-    counts = pl.line_counts([pl.index(p) for p in pts])
-    max_on_line = max(counts.values(), default=0)
+    indices = [pl.index(p) for p in pts]
     line_witness = None
-    if max_on_line >= 3:
+    if pl._holds_no_three(indices):
+        max_on_line = min(len(pts), 2)
+    else:
+        counts = pl.line_counts(indices)
+        max_on_line = max(counts.values())
         line_witness = pl.lines[min(li for li, k in counts.items() if k == max_on_line)]
     combinatorial_ok = len(pts) > 0 and max_on_line <= 2
 

@@ -27,16 +27,18 @@ lines per point.  Rows and masks are built on first read: each line's row
 comes from a closed form on the op tables when it is first indexed, so a
 plane costs O(n) at set-up, not O(n*q), and a request pays only for the
 lines it reads.  The plane counts incidences of point sets on the rows, so
-that search, tangent and verification loops run on plain ints: `line_hits`
-gives per line the positions of the points it holds, `line_counts` only how
-many (one Counter over the lines through the points, so the counting runs in
-C), `tangents` per point the lines counted once, for every tangent question.
-Only the arc search reads line bitmasks, built on its first use.  The plane
-also holds two root tables of q entries each, built in O(q) from the field's
-operation tables: per code s, the ascending codes w with w*w = s
-(`square_roots`) and with w*w + w = s (`unit_roots`).  Together they solve
-any quadratic over the field, in every characteristic (see
-`conic.variety_of`).
+that search, tangent and verification loops run on plain ints, and a count
+over a point set reads only its points' rows: `line_hits` gives per line the
+positions of the points it holds, `line_counts` only how many (one Counter
+over the lines through the points, so the counting runs in C), `tangents`
+per point the lines counted once, read off one such count, for every tangent
+question, and `_holds_no_three` whether any line holds three, from the
+number of lines met (one set, for arcs and conics).  Only the arc search
+reads line bitmasks, built on its first use.  The plane also holds two root
+tables of q entries each, built in O(q) from the field's operation tables:
+per code s, the ascending codes w with w*w = s (`square_roots`) and with
+w*w + w = s (`unit_roots`).  Together they solve any quadratic over the
+field, in every characteristic (see `conic.variety_of`).
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import operator
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, compress, count
 
 from .errors import (
     BoundExceeded,
@@ -356,18 +358,40 @@ class Plane:
 
     def tangents(self, indices) -> list:
         """Per given (distinct) point index, in order, the indices of the lines
-        through it holding no other given point: those `line_counts` counts once.
+        through it holding no other given point, in ascending line index.
 
-        Such a line is counted while the chain walks its one point's lines, so
-        the counts' insertion order keeps `point_lines` order: ascending line index.
+        One Counter walks the given points' rows, each after a marker key
+        n + k for the point at position k, which no line index takes.  A key
+        enters the count where it is first met, so a line counted once was
+        inserted while its one point's row was walked: it sits after that
+        point's marker, among the lines first met there, in row order.  A
+        point's tangents are thus the keys counted once between its marker
+        and the next; no row of a tangent line is read.
         """
-        line_points = self.line_points
-        given = set(indices)
-        at = {i: [] for i in indices}
-        for li, k in self.line_counts(indices).items():
-            if k == 1:
-                at[given.intersection(line_points[li]).pop()].append(li)
-        return [at[i] for i in indices]
+        n, rows = self.n, self.point_lines
+        # zip(count(n)) gives the markers (n,), (n + 1,), ..., one before each row
+        marked_rows = zip(zip(count(n)), map(rows.__getitem__, indices))
+        counts = Counter(chain.from_iterable(chain.from_iterable(marked_rows)))
+        out = []
+        for key in compress(counts, map((1).__eq__, counts.values())):
+            if key < n:
+                out[-1].append(key)
+            else:
+                out.append([])
+        return out
+
+    def _holds_no_three(self, indices) -> bool:
+        """True iff no line holds three of the given distinct point indices.
+
+        For k distinct points with m_l of them on line l, each pair lies on one
+        line, so the sum of C(m_l, 2) is C(k, 2), while the lines met number
+        k(q + 1) minus the sum of (m_l - 1).  As m - 1 <= C(m, 2), with equality
+        iff m <= 2, the lines met number k(q + 1) - C(k, 2) exactly when no
+        line holds three of the points: one C-level set of the lines met.
+        """
+        k = len(indices)
+        lines_met = set(chain.from_iterable(map(self.point_lines.__getitem__, indices)))
+        return len(lines_met) == k * (self.spec.q + 1) - k * (k - 1) // 2
 
     def pair_line(self, i: int, j: int) -> int:
         """Index of the unique line through points i and j (i != j)."""

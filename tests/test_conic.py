@@ -1,6 +1,7 @@
 """Conics: varieties, gradients, tangents, degeneracy, and transformation
 under collineations."""
 
+import itertools
 import random
 
 import pytest
@@ -32,6 +33,7 @@ from galoisplane.linalg import Mat, mat_vec
 from galoisplane.errors import Singular
 from galoisplane.pg2 import (
     Collineation,
+    Plane,
     ProjLine,
     ProjPoint,
     _code_map,
@@ -381,13 +383,11 @@ def test_combinatorial_tangents_requires_variety_point():
 
 def _lines_scan_report(pl, pts):
     """Reference: (max points on a line, its lowest-index line or None below
-    3), by ANDing every one of the n line masks with the variety's mask."""
-    var_mask = 0
-    for p in pts:
-        var_mask |= 1 << pl.point_index[p]
+    3), by intersecting every one of the n line rows with the variety."""
+    var = {pl.point_index[p] for p in pts}
     max_on_line, witness = 0, None
-    for li, mask in enumerate(pl.line_masks):
-        k = (mask & var_mask).bit_count()
+    for li, row in enumerate(pl.line_points):
+        k = len(var.intersection(row))
         if k > max_on_line:
             max_on_line = k
             if k >= 3:
@@ -419,6 +419,76 @@ def test_nondegeneracy_line_counts_match_full_scan():
         c = _conic(spec, *ints)
         assert _report_fields(is_nondegenerate(c)) == \
             _lines_scan_report(plane(spec), c.variety()), ints
+
+
+def _scan_report_fields(c, pts):
+    """Reference: the report's max_points_on_a_line, line_witness,
+    combinatorial_ok and variety_size from a full line scan of pts."""
+    max_on_line, witness = _lines_scan_report(plane(c.spec), pts)
+    return max_on_line, witness, bool(pts) and max_on_line <= 2, len(pts)
+
+
+def _combinatorial_fields(report):
+    return (report.max_points_on_a_line, report.line_witness,
+            report.combinatorial_ok, report.variety_size)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_nondegeneracy_report_matches_full_scan_on_every_conic(q):
+    """Every canonical coefficient tuple (zeros, a leading 1, then any codes),
+    its variety found by evaluating the form at each plane point from the
+    points' monomial codes on the op tables."""
+    spec = make_field(*_ORDERS[q])
+    add, mul, _, _ = spec.op_tables()
+    points = plane(spec).points
+    monomials = [[mul[x][x], mul[y][y], mul[z][z], mul[x][y], mul[x][z], mul[y][z]]
+                 for x, y, z in (p.codes for p in points)]
+
+    def form_vanishes(coeffs, m):
+        acc = 0
+        for a, v in zip(coeffs, m):
+            acc = add[acc][mul[a][v]]
+        return not acc
+
+    conics = [Conic._of(spec, (0,) * lead + (1,) + rest)
+              for lead in range(6) for rest in itertools.product(range(q), repeat=5 - lead)]
+    assert len(conics) == (q ** 6 - 1) // (q - 1)
+    witnessed = 0
+    for c in conics:
+        pts = tuple(p for p, m in zip(points, monomials) if form_vanishes(c.codes, m))
+        got = _combinatorial_fields(is_nondegenerate(c))
+        assert got == _scan_report_fields(c, pts), c
+        witnessed += got[1] is not None
+    assert 0 < witnessed < len(conics)
+
+
+@pytest.mark.parametrize("q", [121, 128])
+def test_nondegeneracy_report_matches_full_scan_at_large_q(q):
+    # seeded degenerate and random conics; the degenerate ones carry witnesses
+    spec = make_field(*_ORDERS[q])
+    rng = random.Random(2400 + q)
+    witnessed = 0
+    for i in range(4):
+        c = _degenerate_conic(spec, rng) if i % 2 else _random_conic(spec, rng)
+        got = _combinatorial_fields(is_nondegenerate(c))
+        assert got == _scan_report_fields(c, c.variety()), c
+        witnessed += got[1] is not None
+    assert witnessed > 0
+
+
+def test_nondegenerate_conic_builds_no_line_count(monkeypatch):
+    # a conic whose variety holds no three collinear points needs no Counter
+    calls = []
+    real = Plane.line_counts
+    monkeypatch.setattr(Plane, "line_counts",
+                        lambda pl, indices: calls.append(1) or real(pl, indices))
+    for q in (3, 4, 7, 121, 128):
+        spec = make_field(*_ORDERS[q])
+        report = is_nondegenerate(_conic(spec, 1, 0, 0, 0, 0, q - 1))  # x^2 - yz
+        assert report.combinatorial_ok and report.max_points_on_a_line == 2
+    assert calls == []
+    assert not is_nondegenerate(_conic(spec, 0, 0, 0, 1, 0, 0)).combinatorial_ok  # xy
+    assert calls == [1]
 
 
 def test_nondegeneracy_report_of_empty_variety(monkeypatch):

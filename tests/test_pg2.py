@@ -318,13 +318,14 @@ def test_fresh_plane_builds_no_line_row(p, k):
 
 def test_reconstruction_builds_only_the_rows_it_reads(monkeypatch):
     """One reconstruction of the standard oval at q = 121 reads the rows of
-    its points and of their tangents: at most 2(q+1) of the plane's 14 763."""
+    its q + 1 points and no other of the plane's 14 763: the tangents are
+    read off the count of those rows, not off the tangent lines' own rows."""
     monkeypatch.setattr(pg2, "_plane_cache", {})
     spec = make_field(11, 2)
     oval = Arc(parse_conic(spec, "[1:0:0:0:0:-1]").variety())
     rows = plane(spec).line_points._rows
     reconstruct_conic(oval)
-    assert 0 < len(rows) - rows.count(None) <= 2 * (spec.q + 1)
+    assert len(rows) - rows.count(None) == spec.q + 1 == 122
 
 
 def test_fresh_planes_read_in_full_leave_no_garbage():
@@ -454,6 +455,43 @@ def test_plane_tangents_match_brute_force(p, k):
     for [i] in singles:
         assert pl.tangents([i]) == [list(pl.point_lines[i])]
     assert pl.tangents([]) == []
+
+
+def _owner_tangents(pl, indices):
+    """Reference: the lines `line_counts` counts once, each given to the one
+    index its own row holds, in count order."""
+    given = set(indices)
+    at = {i: [] for i in indices}
+    for li, k in pl.line_counts(indices).items():
+        if k == 1:
+            at[given.intersection(pl.line_points[li]).pop()].append(li)
+    return [at[i] for i in indices]
+
+
+@pytest.mark.parametrize("p,k", [(11, 2), (2, 7)], ids=["q121", "q128"])
+def test_plane_tangents_match_owner_lookup_at_large_q(p, k):
+    """At q = 121 and 128, on the standard conic, a line pair (whose
+    crossing has q - 1 tangents and every other point none) and seeded sets
+    with collinear triples, the oval reversed too: `tangents` gives, per index
+    and in order, the lines found by looking up each once-counted line's
+    owner in its row."""
+    spec = make_field(p, k)
+    q, pl = spec.q, plane(spec)
+
+    def variety(text):
+        return [pl.index(v) for v in parse_conic(spec, text).variety()]
+
+    oval, pair = variety("[1:0:0:0:0:-1]"), variety("[0:0:0:1:0:0]")
+    assert [len(t) for t in pl.tangents(oval)] == [1] * (q + 1)
+    assert sorted(map(len, pl.tangents(pair))) == [0] * (2 * q) + [q - 1]
+    rng = random.Random(2400 + q)
+    sets = [oval, pair, oval[::-1]]
+    sets += [rng.sample(range(pl.n), size) for size in (3, 40, q, 2 * q)]
+    sets.append(list(dict.fromkeys(pair[:q // 2] + rng.sample(oval, q // 2))))
+    collinear_triples = sum(max(pl.line_counts(s).values()) >= 3 for s in sets)
+    assert collinear_triples >= 3
+    for s in sets:
+        assert pl.tangents(s) == _owner_tangents(pl, s), s
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (7, 1), (3, 2), (2, 3)])

@@ -685,10 +685,11 @@ def test_code_paths_make_no_element_arithmetic(p, k):
     """Outside row reduction the library works on codes: a cold op-table
     build (which also leaves the element list unbuilt), the Wilson check,
     the Desargues sampler, varieties and non-degeneracy reports (of the
-    standard conic and of a line pair, whose gradient vanishes), gradients
-    and tangents, a conic pushed through a collineation, a tangent frame on
-    a fresh arc, and a parsed conic with negative coefficients make no
-    FieldElement operator call."""
+    standard conic and of a line pair, whose gradient vanishes), the
+    plane's tangents and lines-met count and `is_arc` over both varieties,
+    gradients and tangents, a conic pushed through a collineation, a tangent
+    frame on a fresh arc, and a parsed conic with negative coefficients make
+    no FieldElement operator call."""
     spec = make_field(p, k)
     cold = FieldSpec(spec.p, spec.k, spec.modulus)
     assert _count_element_ops(cold.op_tables) == 0
@@ -704,10 +705,16 @@ def test_code_paths_make_no_element_arithmetic(p, k):
     conics = (parse_conic(spec, "[1:0:0:0:0:-1]"), parse_conic(spec, "[0:0:0:1:0:0]"))
     # det = 2 - e for e the element of code 3, so never 0
     t = Collineation(Mat(spec, 3, 3, tuple(map(spec.from_int, (2, 1, 3, 0, 1, 2, 1, 0, 0)))))
+    pl = plane(spec)
     for c in conics:
         assert _count_element_ops(variety_of, c) == 0
         assert _count_element_ops(is_nondegenerate, c) == 0
         assert _count_element_ops(transform_conic, t, c) == 0
+        pts = variety_of(c)
+        indices = [pl.index(v) for v in pts]
+        assert _count_element_ops(pl.tangents, indices) == 0
+        assert _count_element_ops(pl._holds_no_three, indices) == 0
+        assert _count_element_ops(is_arc, pts) == 0
     pt = std.points[1]
     assert _count_element_ops(gradient, conics[0], pt) == 0
     assert _count_element_ops(tangent_at, conics[0], pt) == 0
