@@ -32,11 +32,11 @@ and no frame transform is ever inverted.  Both scans map points with
 An `Arc` keeps the last frame `tangent_frame` built on it, for one base, so
 the chain tangent_frame -> lemma_of_tangents -> reconstruct_conic on one arc
 and base scans the oval once.  The lemma's tangent triangle, centres and
-pencil lines, and the fit oracles' monomial rows and pencil members, are
+pencil lines, and the fit oracles' line pairs and pencil members, are
 built from codes on the field's log/antilog/Zech kernel, at every field
 order, as is the Desargues sampler.  The only element arithmetic left on
-the way is row reduction: the fit's nullspace, and the joins and meets by
-which `perspective_center` computes the lemma's centre independently.
+the way is the row reduction in the joins and meets by which
+`perspective_center` computes the lemma's centre independently.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from .errors import (
     VerificationFailed,
 )
 from .gf import FieldSpec
-from .linalg import Mat, _cross, _dot, _mat_vec, _rows, _scale, nullspace
+from .linalg import Mat, _cross, _dot, _mat_vec, _rows, _scale
 from .pg2 import (
     Collineation,
     ProjLine,
@@ -410,68 +410,68 @@ def frame_conic(spec: FieldSpec) -> Conic:
     return Conic._of(spec, (0, 0, 0, 1, 1, 1))
 
 
-def _monomial_matrix(spec: FieldSpec, points) -> Mat:
-    """One row of monomial codes (x^2, y^2, z^2, xy, xz, yz) per point, each
-    a product on the field's log/antilog kernel, so at every field order."""
-    antilog, log, _, _ = spec._kernel or spec._build_kernel()
-    codes = []
-    for p in points:
-        lx, ly, lz = (log[c] for c in p.codes)  # log[0] is -1
-        codes += [antilog[a + b] if a >= 0 and b >= 0 else 0 for a, b in
-                  ((lx, lx), (ly, ly), (lz, lz), (lx, ly), (lx, lz), (ly, lz))]
-    return Mat._of(spec, len(points), 6, tuple(codes))
+def _line_pairs(spec: FieldSpec, a, b, c, d) -> tuple:
+    """The line pairs (ab, cd) and (ac, bd) through four points, as code triples."""
+    ab, cd, ac, bd = (_cross(spec, u.codes, v.codes) for u, v in ((a, b), (c, d), (a, c), (b, d)))
+    return (ab, cd), (ac, bd)
+
+
+def _pair_sum(spec: FieldSpec, *pairs) -> tuple:
+    """The monomial codes of the sum over line pairs (l, m) of (l . x)(m . x):
+    l_i m_i at x_i^2, l_i m_j + l_j m_i at x_i x_j, each one kernel dot product."""
+    return tuple(_dot(spec, [x for l, _ in pairs for x in (l[i], l[j] if i < j else 0)],
+                      [y for _, m in pairs for y in (m[j], m[i])])
+                 for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)))
 
 
 def fit_conic_nullspace(points) -> Conic:
     """The unique conic through at least 5 points in general position.
 
-    The linear system is one monomial row per point; a 1-dimensional
-    nullspace gives the conic.  Three collinear input points would make any
-    fit non-unique or degenerate, so they are rejected up front.
+    No nullspace, despite the name: the conics through a, b, c, d are the
+    pencil of the line pairs f = (ab)(cd) and g = (ac)(bd), and g(e) f - f(e) g
+    is its member through e.  With no three points collinear (checked first),
+    e is on none of the four lines, so f(e) and g(e) are nonzero, and f and g
+    share no line: the member is exact and nonzero.  Each further point must
+    lie on it.
     """
-    pts = []
-    for p in points:
-        if p not in pts:
-            pts.append(p)
+    pts = list(dict.fromkeys(points))
     if len(pts) < 5:
         raise UnderDetermined(f"need at least 5 distinct points, got {len(pts)}")
     if not is_arc(pts)[0]:
         raise UnderDetermined("three of the points are collinear; no unique conic")
-    basis = nullspace(_monomial_matrix(pts[0].spec, pts))
-    if len(basis) == 0:
-        raise Inconsistent("no conic passes through all the given points")
-    if len(basis) > 1:
-        raise UnderDetermined("conic through the points is not unique")
-    return Conic(basis[0])
+    spec = pts[0].spec
+    (ab, cd), (ac, bd) = _line_pairs(spec, *pts[:4])
+    ab_e, cd_e, ac_e, bd_e = (_dot(spec, l, pts[4].codes) for l in (ab, cd, ac, bd))
+    # g(e) f - f(e) g: the pairs (ac.e ab)(bd.e cd), (ab.e ac)(-cd.e bd); -1 has code p - 1
+    pairs = ((_scale(spec, ab, ac_e), _scale(spec, cd, bd_e)),
+             (_scale(spec, ac, ab_e), _scale(spec, _scale(spec, bd, cd_e), spec.p - 1)))
+    for p in pts[5:]:  # the member at p: the sum over its pairs of (l . p)(m . p)
+        if _dot(spec, *([_dot(spec, line, p.codes) for line in pair] for pair in zip(*pairs))):
+            raise Inconsistent("no conic passes through all the given points")
+    return Conic._of(spec, _canonical_codes(spec, _pair_sum(spec, *pairs)))
 
 
 def _pencil_oracle(points) -> Conic:
     """Unique non-degenerate conic through 4 points in general position.
 
     Used as the independent reference at q = 3, where an oval has only 4
-    points: the nullspace is then a pencil, and exactly one member is
-    non-degenerate by both criteria.
+    points.  Their conics are the pencil of f = (ab)(cd) and g = (ac)(bd)
+    unless one repeats or all are collinear (f or g is then zero, or the two
+    proportional); exactly one member, f + t*g or g, is non-degenerate.
     """
     pts = list(points)
     if len(pts) != 4:
         raise UnderDetermined(f"pencil oracle needs exactly 4 points, got {len(pts)}")
     spec = pts[0].spec
-    basis = nullspace(_monomial_matrix(spec, pts))
-    if len(basis) != 2:
+    f, g = (_pair_sum(spec, pair) for pair in _line_pairs(spec, *pts))
+    if not (any(f) and any(g)) or _canonical_codes(spec, f) == _canonical_codes(spec, g):
         raise UnderDetermined("expected a pencil of conics through 4 points")
-    f, g = ([x.code for x in v] for v in basis)
-    members = []
-    for t in range(spec.q):
-        # f + t*g, a coefficient at a time as the dot product (f_i, g_i) . (1, t)
-        coeffs = tuple(_dot(spec, (a, b), (1, t)) for a, b in zip(f, g))
-        if any(coeffs):
-            members.append(Conic._of(spec, _canonical_codes(spec, coeffs)))
-    members.append(Conic._of(spec, tuple(g)))  # nullspace vectors are canonical
-    winners = [c for c in members if is_nondegenerate(c).verdict]
+    # f + t*g, a coefficient at a time as the dot product (f_i, g_i) . (1, t)
+    members = [tuple(_dot(spec, fg, (1, t)) for fg in zip(f, g)) for t in range(spec.q)]
+    winners = [c for c in (Conic._of(spec, _canonical_codes(spec, m)) for m in members + [g])
+               if is_nondegenerate(c).verdict]
     if len(winners) != 1:
-        raise Inconsistent(
-            f"expected exactly one non-degenerate pencil member, got {len(winners)}"
-        )
+        raise Inconsistent(f"expected exactly one non-degenerate pencil member, got {len(winners)}")
     return winners[0]
 
 

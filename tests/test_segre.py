@@ -1,6 +1,7 @@
 """Desargues configurations, the tangent-slope lemma, and constructive
 conic reconstruction with its certificates."""
 
+import collections
 import dataclasses
 import gc
 import itertools
@@ -418,6 +419,110 @@ def test_fit_conic_nullspace_inconsistent():
     raise AssertionError("no sixth point found off the conic")
 
 
+def _outcome(fn, *args):
+    """What fn returns, as codes, or the type and message of what it raises."""
+    try:
+        return fn(*args).codes
+    except (UnderDetermined, Inconsistent) as exc:
+        return type(exc), str(exc)
+
+
+def _reference_fit(points):
+    """The conic through the points by row reduction of element rows, with
+    the fit's checks and messages; collinear triples found by `collinear`."""
+    pts = []
+    for p in points:
+        if p not in pts:
+            pts.append(p)
+    if len(pts) < 5:
+        raise UnderDetermined(f"need at least 5 distinct points, got {len(pts)}")
+    if any(collinear(*t) for t in itertools.combinations(pts, 3)):
+        raise UnderDetermined("three of the points are collinear; no unique conic")
+    basis = nullspace(_element_rows(pts))
+    if not basis:
+        raise Inconsistent("no conic passes through all the given points")
+    (v,) = basis
+    return parse_conic(pts[0].spec, ":".join(str(x.to_int()) for x in v))
+
+
+@pytest.mark.parametrize("p, k", [(5, 1), (7, 1), (2, 3), (3, 2), (13, 1), (5, 2),
+                                  (11, 2), (2, 7), (131, 1), (3, 5)])
+def test_fit_matches_row_reduction(p, k):
+    """The closed-form fit agrees with row reduction, conic or exception type
+    and message, on seeded sets of 5-7 points of a random conic, as they are,
+    with the last one moved at random, cut to four distinct with repeats,
+    with a collinear triple, and at random; at q up to 128 and, above the
+    largest plane, at q = 131 and 243, where `is_arc` compares determinants."""
+    spec = make_field(p, k, max_order=243)
+    q = spec.q
+    rng = random.Random(q)
+    elems = spec.elements()
+
+    def point():
+        while True:
+            v = tuple(rng.choice(elems) for _ in range(3))
+            if any(v):
+                return canonicalize(v)
+
+    on = [canonicalize((spec.one(), x, x * x)) for x in elems] + [_pt(spec, 0, 0, 1)]
+    seen = set()
+    for i in range(50):
+        while True:
+            m = Mat(spec, 3, 3, tuple(rng.choice(elems) for _ in range(9)))
+            if not linalg.det3(m).is_zero():
+                break
+        pts = [Collineation(m).apply(v) for v in rng.sample(on, rng.randrange(5, min(q, 7) + 1))]
+        kind = i % 5
+        if kind == 1:  # a random point, on no line through two others if one is found
+            for _ in range(q):
+                pts[-1] = point()
+                if not any(collinear(pts[-1], *t) for t in itertools.combinations(pts[:-1], 2)):
+                    break
+        elif kind == 2:
+            pts = pts[:4] + [rng.choice(pts[:4]) for _ in pts[4:]]
+        elif kind == 3:
+            pts[2] = canonicalize(tuple(x + y for x, y in zip(pts[0].coords, pts[1].coords)))
+        elif kind == 4:
+            pts = [point() for _ in pts]
+        got = _outcome(fit_conic_nullspace, pts)
+        assert got == _outcome(_reference_fit, pts), pts
+        seen.add(got[1][:7] if got[0] in (UnderDetermined, Inconsistent) else "a conic")
+    # at q = 5 six points with no three collinear are on a conic
+    assert seen == {"a conic", "need at", "three o"} | ({"no coni"} if q > 5 else set())
+
+
+def test_pencil_oracle_exhaustive_q3():
+    """At q = 3 the oracle's conic through each of the 234 four-point arcs is
+    the only non-degenerate conic of the 364 through them; three collinear
+    points (468 sets) leave only line pairs, and four collinear points (13)
+    or a repeated point more than a pencil."""
+    spec = make_field(3)
+    pl = plane(spec)
+    canonical = [v for v in itertools.product(range(3), repeat=6)
+                 if any(v) and v[next(i for i, x in enumerate(v) if x)] == 1]
+    assert len(canonical) == 364
+    conics = [(c, set(c.variety())) for c in
+              (parse_conic(spec, ":".join(map(str, v))) for v in canonical)
+              if is_nondegenerate(c).verdict]
+    outcomes = collections.Counter()
+    for pts in itertools.combinations(pl.points, 4):
+        if is_arc(pts)[0]:
+            (expected,) = (c for c, var in conics if var.issuperset(pts))
+            assert segre._pencil_oracle(pts) == expected
+            outcomes["arc"] += 1
+        elif collinear(*pts[:3]) and collinear(*pts[1:]):
+            with pytest.raises(UnderDetermined, match="expected a pencil"):
+                segre._pencil_oracle(pts)
+            outcomes["four collinear"] += 1
+        else:
+            with pytest.raises(Inconsistent, match="member, got 0$"):
+                segre._pencil_oracle(pts)
+            outcomes["three collinear"] += 1
+    assert outcomes == {"arc": 234, "three collinear": 468, "four collinear": 13}
+    with pytest.raises(UnderDetermined, match="expected a pencil"):
+        segre._pencil_oracle(pl.points[:3] + pl.points[1:2])
+
+
 def test_reconstruct_reference_conic():
     for q in (5, 7):
         spec = make_field(q)
@@ -643,41 +748,33 @@ def _element_rows(points):
 
 
 def test_element_operations_do_not_grow_with_q():
-    """The per-point loops run on codes: one reconstruction and one tangent
-    frame of the standard conic, base at the same positions, make as many
-    FieldElement operator calls at q=121 as at q=11.  Each counted call gets
-    a fresh Arc, so no memoised frame hides the scan.  The tangent frame
-    makes none; the reconstruction makes some, all in the fit's nullspace."""
-    counts = {}
+    """The per-point loops and the fit run on codes: one reconstruction and
+    one tangent frame of the standard conic make no FieldElement operator
+    call at q=11 nor at q=121.  Each counted call gets a fresh Arc, so no
+    memoised frame hides the scan."""
     for q in (11, 121):
         spec = make_field(11, 1 if q == 11 else 2)
         oval = _oval(spec)
         base = oval.points[:3]
         reconstruct_conic(oval, base)  # warm the field's tables and plane
-        counts[q] = tuple(
-            _count_element_ops(fn, Arc(oval.points, _trusted=True), base)
-            for fn in (reconstruct_conic, tangent_frame)
-        ) + (_count_element_ops(nullspace, _element_rows(oval.points[:5])),)
-    assert counts[11] == counts[121]
-    assert counts[11][0] == counts[11][2] > 0
-    assert counts[11][1] == 0
+        for fn in (reconstruct_conic, tangent_frame):
+            assert _count_element_ops(fn, Arc(oval.points, _trusted=True), base) == 0, (q, fn)
 
 
-def test_lemma_and_oracles_make_element_arithmetic_only_in_row_reduction():
+def test_element_arithmetic_on_the_certify_path_is_only_the_lemmas_joins():
     """The lemma builds its triangle, centres and pencil lines on codes, and
-    the fit oracles their monomial rows and pencil members: each makes
-    exactly the FieldElement operations of the row reductions it calls,
-    the lemma's in its independent perspective_center."""
+    the fit oracles their line pairs and pencil members: the lemma makes
+    exactly the FieldElement operations of its independent
+    perspective_center's joins and meets, and either oracle makes none."""
     for spec in (make_field(3), make_field(7), make_field(3, 2), make_field(11, 2)):
         oval = _oval(spec)
         frame = tangent_frame(oval, oval.points[:3])
         res = lemma_of_tangents(frame)
         assert _count_element_ops(lemma_of_tangents, frame) == _count_element_ops(
-            perspective_center, _standard_triangle(spec), res.tangent_triangle)
+            perspective_center, _standard_triangle(spec), res.tangent_triangle) > 0
         pts = oval.points[:4] if spec.q == 3 else oval.points[:5]
         oracle = segre._pencil_oracle if spec.q == 3 else fit_conic_nullspace
-        assert _count_element_ops(oracle, pts) == \
-            _count_element_ops(nullspace, _element_rows(pts)) > 0
+        assert _count_element_ops(oracle, pts) == 0, spec.q
 
 
 @pytest.mark.parametrize("p, k", [(7, 1), (3, 2), (11, 2)], ids=["q7", "q9", "q121"])
@@ -688,8 +785,9 @@ def test_code_paths_make_no_element_arithmetic(p, k):
     standard conic and of a line pair, whose gradient vanishes), the
     plane's tangents and lines-met count and `is_arc` over both varieties,
     gradients and tangents, a conic pushed through a collineation, a tangent
-    frame on a fresh arc, and a parsed conic with negative coefficients make
-    no FieldElement operator call."""
+    frame on a fresh arc, a parsed conic with negative coefficients, the fit
+    through seven oval points and the pencil oracle's sweep make no
+    FieldElement operator call."""
     spec = make_field(p, k)
     cold = FieldSpec(spec.p, spec.k, spec.modulus)
     assert _count_element_ops(cold.op_tables) == 0
@@ -720,6 +818,12 @@ def test_code_paths_make_no_element_arithmetic(p, k):
     assert _count_element_ops(tangent_at, conics[0], pt) == 0
     assert _count_element_ops(
         tangent_frame, Arc(std.points, _trusted=True), std.points[:3]) == 0
+    assert _count_element_ops(fit_conic_nullspace, std.points[:7]) == 0
+
+    def sweep_pencil():  # q - 2 of a pencil's q + 1 members are not line pairs
+        with pytest.raises(Inconsistent, match=f"got {q - 2}$"):
+            segre._pencil_oracle(std.points[:4])
+    assert _count_element_ops(sweep_pencil) == 0
 
 
 def _count_frame_scans(monkeypatch):
