@@ -172,8 +172,7 @@ class Arc:
 
 def tangent_lines(arc: Arc, p: ProjPoint) -> list:
     """Lines through an arc point meeting the arc only there, in ascending
-    line index: the point's entry of `Plane.tangents` over the arc, read off
-    its own row against one `line_counts` over the arc.
+    line index: the point's entry of one `Plane.tangents` call over the arc.
 
     An arc of size n has exactly q + 2 - n tangents at each of its points:
     of the q + 1 lines through p, the n - 1 secants to the other arc points
@@ -183,8 +182,7 @@ def tangent_lines(arc: Arc, p: ProjPoint) -> list:
     i, indices = pl.index(p), [pl.index(x) for x in arc.points]
     if i not in indices:
         raise PointNotOnArc(f"{p.to_text()} is not a point of the arc")
-    counts = pl.line_counts(indices)
-    return [pl.lines[li] for li in pl.point_lines[i] if counts[li] == 1]
+    return [pl.lines[li] for li in pl.tangents(indices)[indices.index(i)]]
 
 
 def search_maximal_arcs(spec: FieldSpec, target_size: int, limit=None,

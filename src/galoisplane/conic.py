@@ -205,9 +205,8 @@ def line_conic_intersect(conic: Conic, l: ProjLine) -> list:
 
 
 def combinatorial_tangents(conic: Conic, p: ProjPoint) -> list:
-    """Lines through p meeting the variety only at p, in any characteristic,
-    in ascending line index: p's entry of `Plane.tangents` over the variety,
-    read off p's own row against one `line_counts` over the variety.
+    """Lines through p meeting the variety only at p, in any characteristic, in
+    ascending line index: p's entry of one `Plane.tangents` call over it.
 
     For a non-degenerate conic this is a single line per variety point; for
     degenerate ones it may be empty or contain several lines.
@@ -215,8 +214,8 @@ def combinatorial_tangents(conic: Conic, p: ProjPoint) -> list:
     if not conic.evaluate(p).is_zero():
         raise NotOnVariety(f"{p.to_text()} is not on the conic {conic.to_text()}")
     pl = plane(conic.spec)
-    counts = pl.line_counts(pl.index(x) for x in conic.variety())
-    return [pl.lines[li] for li in pl.point_lines[pl.index(p)] if counts[li] == 1]
+    indices = [pl.index(x) for x in conic.variety()]
+    return [pl.lines[li] for li in pl.tangents(indices)[indices.index(pl.index(p))]]
 
 
 @dataclass(frozen=True)

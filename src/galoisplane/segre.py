@@ -23,20 +23,20 @@ frame; pulling that back gives the conic in original coordinates.
 The loops over the oval's points run on the field's integer codes, not on
 field elements.  The slope scan maps each point through the frame matrix
 with the op tables; its slopes are coordinate ratios, so the image needs no
-scaling.  The certificate's checks say that the oval's tangent at each of
-its points is the conic's, which holds in every frame, so they run in the
-oval's own coordinates, one gradient per point (see `reconstruct_conic`),
-and no frame transform is ever inverted.  Both scans map points with
-`pg2._code_map`, through the frame matrix and through U + U^T.
+scaling.  The certificate's checks (see `reconstruct_conic`) say that the
+oval's tangent at each point is the conic's, which holds in every frame, so
+they run in the oval's own coordinates, one gradient (U + U^T) p per point,
+and no frame transform is inverted; both scans map points with
+`pg2._code_map`.  They read no variety: the q = 3 oracle counts its pencil's
+non-degenerate members, and non-degeneracy is det(U + U^T) != 0.
 
 An `Arc` keeps the last frame `tangent_frame` built on it, for one base, so
 the chain tangent_frame -> lemma_of_tangents -> reconstruct_conic on one arc
 and base scans the oval once.  The lemma's tangent triangle, centres and
-pencil lines, and the fit oracles' line pairs and pencil members, are
-built from codes on the field's log/antilog/Zech kernel, at every field
-order, as is the Desargues sampler.  The only element arithmetic left on
-the way is the row reduction in the joins and meets by which
-`perspective_center` computes the lemma's centre independently.
+pencil lines, the fit oracles' line pairs and pencil members, and the
+Desargues sampler work on codes on the field's log/antilog/Zech kernel, at
+every field order; only the joins and meets of `perspective_center`, the
+lemma's independent centre, row-reduce elements.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .arcs import Arc, is_arc
-from .conic import Conic, _gradient_matrix, _pullback, is_nondegenerate
+from .conic import Conic, _gradient_matrix, _pullback
 from .errors import (
     Degenerate,
     DegenerateTriangle,
@@ -66,7 +66,7 @@ from .errors import (
     VerificationFailed,
 )
 from .gf import FieldSpec
-from .linalg import Mat, _cross, _dot, _mat_vec, _rows, _scale
+from .linalg import Mat, _cross, _dot, _mat_vec, _rows, _scale, det3
 from .pg2 import (
     Collineation,
     ProjLine,
@@ -227,10 +227,9 @@ def tangent_frame(oval: Arc, base) -> TangentFrame:
     their slopes are computed on the field's op-table codes, and the
     tangents are the leftover pencil lines l pulled back as t0^T l, with no
     inverse of t0.  This needs q <= 512 (BoundExceeded above); every oval
-    built on the plane has
-    q <= 128, so only a trusted `Arc` can get there.  A non-base point on a
-    side of the base triangle (possible only for a trusted `Arc` that is no
-    arc) has a zero frame coordinate and raises DivisionByZero.
+    built on the plane has q <= 128, so only a trusted `Arc` can get there.
+    A non-base point on a side of the base triangle (only a trusted `Arc`
+    that is no arc has one) has a zero frame coordinate: DivisionByZero.
 
     The arc memoises the last frame built on it: called again with the same
     base, this runs the argument checks and returns an equal frame without
@@ -321,14 +320,13 @@ class LemmaResult:
 def lemma_of_tangents(frame: TangentFrame) -> LemmaResult:
     """Perspective center of the base and tangent triangles, two ways.
 
-    The closed form (1, k1*k2, -k2) is cross-checked against the center
-    computed independently from joins and meets; disagreement raises.  In
-    the reciprocal slopes m_i = 1/k_i of the tangents (x3 = m1*x2 at e1,
-    x1 = m2*x3 at e2, x2 = m3*x1 at e3) the same center reads
-    (1, -m3, m1*m3).  The concurrency of the reciprocal-parameter pencil
-    lines through (1, -k3, k1*k3) is verified as a second certificate of
-    the relation.  The center maps back as the meet of two joins pulled
-    back through t0^T, with no inverse of t0.
+    The closed form (1, k1*k2, -k2), (1, -m3, m1*m3) in the reciprocal
+    slopes (see `LemmaResult`), is cross-checked against the center
+    computed independently from joins and meets; disagreement raises.  The
+    concurrency of the reciprocal-parameter pencil lines through
+    (1, -k3, k1*k3) is verified as a second certificate of the relation.
+    The center maps back as the meet of two joins pulled back through t0^T,
+    with no inverse of t0.
     """
     spec = frame.spec
     k1, k2, k3 = (k.code for k in frame.slopes)
@@ -457,22 +455,27 @@ def _pencil_oracle(points) -> Conic:
     Used as the independent reference at q = 3, where an oval has only 4
     points.  Their conics are the pencil of f = (ab)(cd) and g = (ac)(bd)
     unless one repeats or all are collinear (f or g is then zero, or the two
-    proportional); exactly one member, f + t*g or g, is non-degenerate.
+    proportional).  If three are collinear, every member holds their line;
+    else q - 2 members are non-degenerate, all but the line pairs (ab)(cd),
+    (ac)(bd) and (ad)(bc).  At q = 3 it is whichever of f + g and f - g is
+    not (ad)(bc).
     """
     pts = list(points)
     if len(pts) != 4:
         raise UnderDetermined(f"pencil oracle needs exactly 4 points, got {len(pts)}")
     spec = pts[0].spec
-    f, g = (_pair_sum(spec, pair) for pair in _line_pairs(spec, *pts))
+    (ab, cd), (ac, bd) = pairs = _line_pairs(spec, *pts)
+    f, g = (_pair_sum(spec, pair) for pair in pairs)
     if not (any(f) and any(g)) or _canonical_codes(spec, f) == _canonical_codes(spec, g):
         raise UnderDetermined("expected a pencil of conics through 4 points")
-    # f + t*g, a coefficient at a time as the dot product (f_i, g_i) . (1, t)
-    members = [tuple(_dot(spec, fg, (1, t)) for fg in zip(f, g)) for t in range(spec.q)]
-    winners = [c for c in (Conic._of(spec, _canonical_codes(spec, m)) for m in members + [g])
-               if is_nondegenerate(c).verdict]
-    if len(winners) != 1:
-        raise Inconsistent(f"expected exactly one non-degenerate pencil member, got {len(winners)}")
-    return winners[0]
+    count = spec.q - 2 if is_arc(pts)[0] else 0
+    if count != 1:
+        raise Inconsistent(f"expected exactly one non-degenerate pencil member, got {count}")
+    ad, bc = (_cross(spec, pts[i].codes, pts[j].codes) for i, j in ((0, 3), (1, 2)))
+    # f + g, f - g and (ad)(bc); -1 has code p - 1
+    plus, minus, ad_bc = (_canonical_codes(spec, _pair_sum(spec, *ps)) for ps in (
+        pairs, ((ab, cd), (ac, _scale(spec, bd, spec.p - 1))), ((ad, bc),)))
+    return Conic._of(spec, minus if plus == ad_bc else plus)
 
 
 @dataclass(frozen=True)
@@ -516,18 +519,21 @@ def reconstruct_conic(oval: Arc, base=None) -> tuple:
     Returns (conic, certificate).  The conic f is the frame conic g pulled
     back through the normalized frame transform T, with no inverse of T; it
     is verified to contain every oval point, to satisfy the tangent cross
-    identities at every non-base point, and to coincide with an
-    independently fitted conic.  When a check fails, the VerificationFailed
-    raised carries the certificate built so far as its `certificate`.
+    identities at every non-base point, to coincide with an independently
+    fitted conic, and to be non-degenerate.  A failed check raises
+    VerificationFailed with the certificate built so far as `certificate`.
 
     Both per-point checks take one gradient grad f(p) = (U + U^T) p on the
     op-table codes, in the oval's own coordinates: p is on the conic iff
     p . grad f(p) = 2 f(p) vanishes (q is odd), and each oval tangent B at p
     (one `Plane.tangents` call lists them; an oval has one per point) is the
     conic's iff B x grad f(p) = 0.  The latter are the frame identities
-    b x grad g(c) = 0 at c = T p, b = T^-T B pulled back: f is a
-    multiple lam * g(T x), so grad g(c) = T^-T grad f(p) / lam, and
-    (T^-T u) x (T^-T v) = det(T^-1) * T (u x v) for invertible T.
+    b x grad g(c) = 0 at c = T p, b = T^-T B pulled back: f is a multiple
+    lam * g(T x), so grad g(c) = T^-T grad f(p) / lam, and
+    (T^-T u) x (T^-T v) = det(T^-1) * T (u x v) for invertible T.  Last, f
+    is non-degenerate iff det(U + U^T) != 0: a kernel vector p has a zero
+    gradient and 2 f(p) = 0, and a non-singular form has a zero
+    (Chevalley-Warning), so it is x^2 - yz in some frame.
     """
     spec = oval.spec
     q = spec.q
@@ -537,9 +543,7 @@ def reconstruct_conic(oval: Arc, base=None) -> tuple:
         raise NotMaximalOval(
             f"need a maximal oval of q+1={q + 1} points, got {oval.size}"
         )
-    if base is None:
-        base = oval.points[:3]
-    frame0 = tangent_frame(oval, base)
+    frame0 = tangent_frame(oval, oval.points[:3] if base is None else base)
     t = normalize_tangents(frame0).transform
     conic = _pullback(t.matrix, frame_conic(spec))
 
@@ -547,7 +551,8 @@ def reconstruct_conic(oval: Arc, base=None) -> tuple:
     tangents = pl.tangents([pl.index(p) for p in oval.points])
 
     add, mul, _, _ = spec.op_tables()
-    grad = _code_map(_gradient_matrix(conic))
+    gradient_matrix = _gradient_matrix(conic)
+    grad = _code_map(gradient_matrix)
     all_points_ok = identities_ok = True
     base_set = set(frame0.base)
     for p, tl in zip(oval.points, tangents):
@@ -562,10 +567,7 @@ def reconstruct_conic(oval: Arc, base=None) -> tuple:
                     mul[b1][g2] == mul[b2][g1] and mul[b2][g0] == mul[b0][g2]
                     and mul[b0][g1] == mul[b1][g0])
 
-    if q == 3:
-        oracle = _pencil_oracle(oval.points)
-    else:
-        oracle = fit_conic_nullspace(oval.points[:5])
+    oracle = _pencil_oracle(oval.points) if q == 3 else fit_conic_nullspace(oval.points[:5])
 
     cert = Certificate(
         field=spec.to_text(),
@@ -585,7 +587,7 @@ def reconstruct_conic(oval: Arc, base=None) -> tuple:
         failure = "a tangent cross identity fails"
     elif conic != oracle:
         failure = "reconstructed conic disagrees with the fit oracle"
-    elif not is_nondegenerate(conic).verdict:
+    elif det3(gradient_matrix).is_zero():
         failure = "reconstructed conic is degenerate"
     else:
         return conic, cert

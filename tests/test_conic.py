@@ -29,7 +29,7 @@ from galoisplane.errors import (
     ZeroVector,
 )
 from galoisplane.gf import make_field
-from galoisplane.linalg import Mat, mat_vec
+from galoisplane.linalg import Mat, det3, mat_vec
 from galoisplane.errors import Singular
 from galoisplane.pg2 import (
     Collineation,
@@ -458,6 +458,8 @@ def test_nondegeneracy_report_matches_full_scan_on_every_conic(q):
         pts = tuple(p for p, m in zip(points, monomials) if form_vanishes(c.codes, m))
         got = _combinatorial_fields(is_nondegenerate(c))
         assert got == _scan_report_fields(c, pts), c
+        if q % 2:  # non-degenerate iff det(U + U^T) != 0
+            assert det3(_gradient_matrix(c)).is_zero() != is_nondegenerate(c).verdict, c
         witnessed += got[1] is not None
     assert 0 < witnessed < len(conics)
 
@@ -472,6 +474,8 @@ def test_nondegeneracy_report_matches_full_scan_at_large_q(q):
         c = _degenerate_conic(spec, rng) if i % 2 else _random_conic(spec, rng)
         got = _combinatorial_fields(is_nondegenerate(c))
         assert got == _scan_report_fields(c, c.variety()), c
+        if q % 2:  # non-degenerate iff det(U + U^T) != 0
+            assert det3(_gradient_matrix(c)).is_zero() != is_nondegenerate(c).verdict, c
         witnessed += got[1] is not None
     assert witnessed > 0
 

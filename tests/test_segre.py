@@ -13,6 +13,7 @@ import pytest
 
 from galoisplane.arcs import Arc, is_arc, search_maximal_arcs, tangent_lines
 from galoisplane.conic import (
+    Conic,
     combinatorial_tangents,
     gradient,
     is_nondegenerate,
@@ -523,6 +524,72 @@ def test_pencil_oracle_exhaustive_q3():
         segre._pencil_oracle(pl.points[:3] + pl.points[1:2])
 
 
+def _sweep_pencil_oracle(points):
+    """The oracle as a sweep: every one of the q + 1 pencil members f + t*g
+    and g through `is_nondegenerate`, with the oracle's checks and messages."""
+    pts = list(points)
+    if len(pts) != 4:
+        raise UnderDetermined(f"pencil oracle needs exactly 4 points, got {len(pts)}")
+    a, b, c, d = pts
+    spec = a.spec
+    if a == b or c == d or a == c or b == d:  # a line of f or g is undefined
+        raise UnderDetermined("expected a pencil of conics through 4 points")
+
+    def pair(u, v, w, x):  # the monomial coefficients of (uv . x)(wx . x)
+        (l0, l1, l2), (m0, m1, m2) = join(u, v).coeffs, join(w, x).coeffs
+        return (l0 * m0, l1 * m1, l2 * m2, l0 * m1 + l1 * m0, l0 * m2 + l2 * m0, l1 * m2 + l2 * m1)
+
+    f, g = pair(a, b, c, d), pair(a, c, b, d)
+    if all(fi * gj == fj * gi for fi, gi in zip(f, g) for fj, gj in zip(f, g)):
+        raise UnderDetermined("expected a pencil of conics through 4 points")
+    members = [tuple(x + t * y for x, y in zip(f, g)) for t in spec.elements()] + [g]
+    winners = [c for c in (Conic(m) for m in members) if is_nondegenerate(c).verdict]
+    if len(winners) != 1:
+        raise Inconsistent(f"expected exactly one non-degenerate pencil member, got {len(winners)}")
+    return winners[0]
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1)])
+def test_pencil_oracle_matches_member_sweep(p, k):
+    """The closed-form member count and choice agree with a sweep of all
+    q + 1 pencil members through `is_nondegenerate`, conic or exception type
+    and message, on seeded four-point sets in shuffled order: arcs, three
+    collinear, four collinear, and an arc with a repeated point."""
+    spec = make_field(p, k)
+    q = spec.q
+    pl = plane(spec)
+    rng = random.Random(2600 + q)
+
+    def on_line(a, b):  # a point of the line ab other than a and b
+        t = rng.choice(spec.elements()[1:])
+        return canonicalize(tuple(x + t * y for x, y in zip(a.coords, b.coords)))
+
+    seen = collections.Counter()
+    for i in range(60):
+        a, b = rng.sample(pl.points, 2)
+        kind = ("arc", "three collinear", "four collinear", "repeated")[i % 4]
+        if kind == "four collinear":
+            pts = [a, b] + rng.sample([x for x in pl.points if collinear(a, b, x) and x not in (a, b)], 2)
+        else:
+            while True:
+                pts = [a, b] + rng.sample(pl.points, 2)
+                if is_arc(pts)[0]:
+                    break
+            if kind == "three collinear":
+                pts[2] = on_line(a, b)
+            elif kind == "repeated":
+                pts[3] = rng.choice(pts[:3])
+        rng.shuffle(pts)
+        got = _outcome(segre._pencil_oracle, pts)
+        assert got == _outcome(_sweep_pencil_oracle, pts), (kind, pts)
+        seen[kind, got[1] if isinstance(got[0], type) else "a conic"] += 1
+    member = f"expected exactly one non-degenerate pencil member, got {q - 2}"
+    assert set(seen) == {("arc", "a conic" if q == 3 else member),
+                         ("three collinear", "expected exactly one non-degenerate pencil member, got 0"),
+                         ("four collinear", "expected a pencil of conics through 4 points"),
+                         ("repeated", "expected a pencil of conics through 4 points")}
+
+
 def test_reconstruct_reference_conic():
     for q in (5, 7):
         spec = make_field(q)
@@ -720,6 +787,70 @@ def test_verification_failure_carries_the_certificate(monkeypatch):
                                        oracle_conic=list(other.to_ints()))
     # raised by a check that builds no certificate, it carries none
     assert VerificationFailed("side meets are not collinear").certificate is None
+
+
+@pytest.mark.parametrize("q", [3, 7])
+def test_tangent_identity_failure_carries_the_certificate(monkeypatch, q):
+    """A plane whose `tangents` reports a secant at one non-base point fails
+    the cross identity.  No honest input reaches this check: the conic is
+    non-degenerate, so once it holds all q + 1 oval points they are its
+    variety, and the line meeting the oval only at p is its tangent at p."""
+    spec = make_field(q)
+    oval = _oval(spec)
+    _, good = reconstruct_conic(oval)
+    pl = plane(spec)
+    p, other = oval.points[3], oval.points[0]  # a non-base point and a base point
+    secant = pl.pair_line(pl.index(p), pl.index(other))
+    real = Plane.tangents
+
+    def doctored(self, indices):
+        out = real(self, indices)
+        out[3] = [secant]
+        return out
+
+    monkeypatch.setattr(Plane, "tangents", doctored)
+    with pytest.raises(VerificationFailed, match="^a tangent cross identity fails$") as info:
+        reconstruct_conic(oval)
+    cert = info.value.certificate
+    assert (cert.identities_ok, cert.all_points_ok) == (False, True)
+    assert cert.conic == cert.oracle_conic
+    assert cert.to_json_dict() == dict(good.to_json_dict(), identities_ok=False)
+
+
+def test_degenerate_conic_failure_carries_the_certificate(monkeypatch):
+    """A determinant routine that reports zero makes the last check fail with
+    every other check passing.  No honest input reaches this check: the conic
+    is the frame conic, whose U + U^T has determinant 2, pulled back through
+    an invertible T and scaled, so its determinant is a nonzero multiple of
+    2 det(T)^2, nonzero at odd q."""
+    spec = make_field(7)
+    oval = _oval(spec)
+    _, good = reconstruct_conic(oval)
+    monkeypatch.setattr(segre, "det3", lambda m: m.spec.zero())
+    with pytest.raises(VerificationFailed, match="^reconstructed conic is degenerate$") as info:
+        reconstruct_conic(oval)
+    cert = info.value.certificate
+    assert cert.identities_ok and cert.all_points_ok and cert.conic == cert.oracle_conic
+    assert cert.to_json() == good.to_json()
+
+
+def test_reconstruction_reads_no_variety(monkeypatch):
+    """The certificate's checks read no variety: the q = 3 oracle counts its
+    pencil's non-degenerate members in closed form, and non-degeneracy is a
+    determinant, so `reconstruct_conic` calls neither `variety_of` nor
+    `is_nondegenerate`."""
+    import galoisplane.conic as conic_module
+
+    assert not hasattr(segre, "is_nondegenerate")
+    ovals = [_oval(make_field(*pk)) for pk in ((3, 1), (7, 1), (11, 2))]
+    calls = []
+    real = conic_module.variety_of
+    monkeypatch.setattr(conic_module, "variety_of", lambda c: calls.append(c) or real(c))
+    for oval in ovals:
+        conic, _ = reconstruct_conic(Arc(oval.points))
+        assert calls == [], oval.spec.q
+        assert conic.variety() == oval.points and calls == [conic]  # the patch is live
+        calls.clear()
 
 
 _ELEMENT_OPS = ("__add__", "__sub__", "__mul__", "__neg__", "__truediv__",
