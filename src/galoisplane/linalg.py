@@ -12,10 +12,14 @@ Sizes here are tiny (2x3 and 3x3 for geometry, nx6 for conic fitting), so
 row reduction is plain Gaussian elimination, deterministically pivoted: columns
 are processed left to right and the pivot is the first row, in order, with a
 nonzero entry.  Nullspace bases are normalized so each vector's first nonzero
-entry is 1.  `_rref`, `rank` and `nullspace` still do element arithmetic on
-the `row` views: perfbench's tracer test pins one `join` to one `nullspace`
-call that makes element operations, so row reduction moves to codes together
-with `join` and `meet`.
+entry is 1.  `_rref` does element arithmetic on the `row` views, so only the
+public `nullspace` and `rank`, and `pg2.join` and `pg2.meet` through
+`nullspace`, still row-reduce elements.  The certify path takes cross and
+dot products instead; of the library's routines only `segre.desargues_axis`
+calls `join` and `meet`.  They stay so because perfbench's tracer test pins
+one `join` to one `nullspace` call that makes element operations; row
+reduction moves to codes, and `join` and `meet` to cross products, once that
+test is re-pointed.
 """
 
 from __future__ import annotations

@@ -166,7 +166,10 @@ def incident(p: ProjPoint, l: ProjLine) -> bool:
 
 
 def join(p: ProjPoint, r: ProjPoint) -> ProjLine:
-    """The unique line through two distinct points (2x3 nullspace)."""
+    """The unique line through two distinct points (2x3 nullspace).
+
+    It row-reduces, not a cross product, because perfbench's tracer test pins
+    one `join` to one `nullspace` call."""
     if p == r:
         raise EqualPoints(f"join needs distinct points, got {p.to_text()} twice")
     _same_field("points", p.spec, r.spec)
@@ -178,7 +181,9 @@ def join(p: ProjPoint, r: ProjPoint) -> ProjLine:
 
 
 def meet(l: ProjLine, m: ProjLine) -> ProjPoint:
-    """The unique common point of two distinct lines (2x3 nullspace, dually)."""
+    """The unique common point of two distinct lines (2x3 nullspace, dually).
+
+    It row-reduces, as `join` does, until perfbench's tracer test is re-pointed."""
     if l == m:
         raise EqualLines(f"meet needs distinct lines, got {l.to_text()} twice")
     _same_field("lines", l.spec, m.spec)

@@ -33,10 +33,11 @@ non-degenerate members, and non-degeneracy is det(U + U^T) != 0.
 An `Arc` keeps the last frame `tangent_frame` built on it, for one base, so
 the chain tangent_frame -> lemma_of_tangents -> reconstruct_conic on one arc
 and base scans the oval once.  The lemma's tangent triangle, centres and
-pencil lines, the fit oracles' line pairs and pencil members, and the
-Desargues sampler work on codes on the field's log/antilog/Zech kernel, at
-every field order; only the joins and meets of `perspective_center`, the
-lemma's independent centre, row-reduce elements.
+pencil lines, its independent centre `perspective_center` (joins and their
+meet as code cross products), the fit oracles' line pairs and pencil
+members, and the Desargues sampler work on codes on the field's
+log/antilog/Zech kernel, at every field order, so the certify path makes
+no element arithmetic and no row reduction.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from .errors import (
     VerificationFailed,
 )
 from .gf import FieldSpec
-from .linalg import Mat, _cross, _dot, _mat_vec, _rows, _scale, det3
+from .linalg import Mat, _cross, _dot, _mat_vec, _rows, _same_field, _scale, det3
 from .pg2 import (
     Collineation,
     ProjLine,
@@ -96,22 +97,33 @@ def perspective_center(tri1, tri2) -> Optional[ProjPoint]:
     """Common point of the three vertex joins, or None if not concurrent.
 
     Vertices correspond by position.  Coinciding corresponding vertices are
-    rejected (their join is undefined).
+    rejected (their join is undefined).  As in `collinear`, each join and the
+    centre are canonical cross products of code triples, and concurrency is
+    a code dot product: distinct points and distinct lines have a nonzero
+    cross product, so no row reduction is needed.
     """
     _check_triangle(tri1, "first triangle")
     _check_triangle(tri2, "second triangle")
+    spec = tri1[0].spec
     joins = []
     for a, b in zip(tri1, tri2):
         if a == b:
             raise EqualPoints(
                 f"corresponding vertices coincide at {a.to_text()}, join undefined"
             )
-        joins.append(join(a, b))
+        _same_field("points", spec, b.spec)
+        joins.append(_canonical_codes(spec, _cross(spec, a.codes, b.codes)))
+    j0, j1, j2 = joins
     # two joins may coincide; with non-degenerate triangles never all three
-    if joins[0] == joins[1]:
-        return meet(joins[0], joins[2]) if joins[0] != joins[2] else None
-    c = meet(joins[0], joins[1])
-    return c if incident(c, joins[2]) else None
+    if j0 == j1:
+        if j0 == j2:
+            return None
+        c = _cross(spec, j0, j2)
+    else:
+        c = _cross(spec, j0, j1)
+        if _dot(spec, c, j2):
+            return None
+    return ProjPoint._of(spec, _canonical_codes(spec, c))
 
 
 @dataclass(frozen=True)
@@ -322,9 +334,10 @@ def lemma_of_tangents(frame: TangentFrame) -> LemmaResult:
 
     The closed form (1, k1*k2, -k2), (1, -m3, m1*m3) in the reciprocal
     slopes (see `LemmaResult`), is cross-checked against the center
-    computed independently from joins and meets; disagreement raises.  The
-    concurrency of the reciprocal-parameter pencil lines through
-    (1, -k3, k1*k3) is verified as a second certificate of the relation.
+    `perspective_center` computes independently from the vertex joins;
+    disagreement raises.  The concurrency of the reciprocal-parameter pencil
+    lines through (1, -k3, k1*k3) is verified as a second certificate of the
+    relation.
     The center maps back as the meet of two joins pulled back through t0^T,
     with no inverse of t0.
     """

@@ -8,6 +8,7 @@ import itertools
 import json
 import pickle
 import random
+import sys
 
 import pytest
 
@@ -35,6 +36,7 @@ from galoisplane.errors import (
     NotMaximalOval,
     PointsNotOnOval,
     SharedSide,
+    SpecMismatch,
     UnderDetermined,
     VerificationFailed,
 )
@@ -135,6 +137,90 @@ def test_perspective_center_shared_vertex():
     tri1, _ = _classic_pair(spec)
     with pytest.raises(EqualPoints):
         perspective_center(tri1, tri1)
+
+
+def _join_meet_center(tri1, tri2):
+    """perspective_center as the public join and meet compute it: the
+    reference for the code cross products."""
+    segre._check_triangle(tri1, "first triangle")
+    segre._check_triangle(tri2, "second triangle")
+    joins = []
+    for a, b in zip(tri1, tri2):
+        if a == b:
+            raise EqualPoints(
+                f"corresponding vertices coincide at {a.to_text()}, join undefined")
+        joins.append(join(a, b))
+    if joins[0] == joins[1]:
+        return meet(joins[0], joins[2]) if joins[0] != joins[2] else None
+    c = meet(joins[0], joins[1])
+    return c if incident(c, joins[2]) else None
+
+
+def _center_outcome(fn, tri1, tri2):
+    try:
+        c = fn(tri1, tri2)
+    except Exception as exc:  # the type and message are the outcome
+        return type(exc), str(exc)
+    return None if c is None else (c.spec, c.codes)
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)],
+                         ids=["q3", "q4", "q5", "q7", "q8", "q9"])
+def test_perspective_center_matches_join_meet_reference(p, k):
+    """On seeded random triangle pairs, sampled perspective pairs and their
+    scrambles, pairs whose first two joins coincide, and pairs with one or
+    all vertices of the second triangle over another field, the code cross
+    products give the reference's point, None, or exception type and
+    message."""
+    spec = make_field(p, k)
+    pts = plane(spec).points
+    foreign = _standard_triangle(make_field(11))
+    rng = random.Random(1000 * p + k)
+    pairs = []
+    for _ in range(150):
+        pairs.append(tuple(tuple(rng.choice(pts) for _ in range(3)) for _ in range(2)))
+        tri1, tri2 = sample_perspective_triangles(spec, rng)
+        pairs += [(tri1, tri2), (tri1, (tri2[1], tri2[2], tri2[0]))]
+        # b0 and b1 on the side a0 a1, so the joins a0 b0 and a1 b1 are that side
+        side = [x for x in pts if collinear(tri1[0], tri1[1], x)]
+        pairs.append((tri1, (rng.choice(side), rng.choice(side), rng.choice(pts))))
+        i = rng.randrange(3)  # the whole second triangle, or one vertex, over GF(11)
+        pairs.append((tri1, foreign if i == 0 else tri2[:i] + (foreign[i],) + tri2[i + 1:]))
+    seen = collections.Counter()
+    for tri1, tri2 in pairs:
+        got = _center_outcome(perspective_center, tri1, tri2)
+        assert got == _center_outcome(_join_meet_center, tri1, tri2), (tri1, tri2)
+        if got is None:
+            kind = "none"
+        elif isinstance(got[0], type):
+            kind = got[0].__name__ + (" repeated" if "repeated" in got[1] else "")
+        elif join(tri1[0], tri2[0]) == join(tri1[1], tri2[1]):
+            kind = "coinciding joins"
+        else:
+            kind = "point"
+        seen[kind] += 1
+    assert set(seen) == {"none", "point", "coinciding joins", "EqualPoints", "SpecMismatch",
+                         "DegenerateTriangle", "DegenerateTriangle repeated"}, seen
+
+
+def test_perspective_center_errors_keep_their_messages():
+    spec = make_field(5)
+    tri1, tri2 = _classic_pair(spec)
+    flat = (_pt(spec, 1, 0, 0), _pt(spec, 0, 1, 0), _pt(spec, 1, 1, 0))
+    cases = [
+        ((tri1, (_pt(spec, 1, 1, 1), tri1[1], _pt(spec, 1, 2, 3))), EqualPoints,
+         "corresponding vertices coincide at [0:1:0], join undefined"),
+        ((tri1, _standard_triangle(make_field(7))), SpecMismatch,
+         "points from different field specs"),
+        ((tri1, (tri2[0], tri2[1], tri2[0])), DegenerateTriangle,
+         "second triangle has a repeated vertex"),
+        ((flat, tri2), DegenerateTriangle, "first triangle vertices are collinear"),
+        ((tri1, tri2[:2]), DegenerateTriangle, "second triangle needs 3 points, got 2"),
+    ]
+    for args, exc_type, message in cases:
+        with pytest.raises(exc_type) as info:
+            perspective_center(*args)
+        assert type(info.value) is exc_type and str(info.value) == message
 
 
 def test_desargues_axis_classic_frozen():
@@ -892,20 +978,56 @@ def test_element_operations_do_not_grow_with_q():
             assert _count_element_ops(fn, Arc(oval.points, _trusted=True), base) == 0, (q, fn)
 
 
-def test_element_arithmetic_on_the_certify_path_is_only_the_lemmas_joins():
-    """The lemma builds its triangle, centres and pencil lines on codes, and
-    the fit oracles their line pairs and pencil members: the lemma makes
-    exactly the FieldElement operations of its independent
-    perspective_center's joins and meets, and either oracle makes none."""
+def test_lemma_and_oracles_make_no_element_arithmetic():
+    """The lemma builds its triangle, centres and pencil lines on codes, its
+    independent perspective_center takes joins and their meet as code cross
+    products, and the fit oracles build their line pairs and pencil members
+    on codes: none of them makes a FieldElement operation."""
     for spec in (make_field(3), make_field(7), make_field(3, 2), make_field(11, 2)):
         oval = _oval(spec)
         frame = tangent_frame(oval, oval.points[:3])
         res = lemma_of_tangents(frame)
-        assert _count_element_ops(lemma_of_tangents, frame) == _count_element_ops(
-            perspective_center, _standard_triangle(spec), res.tangent_triangle) > 0
+        assert _count_element_ops(lemma_of_tangents, frame) == 0, spec.q
+        assert _count_element_ops(
+            perspective_center, _standard_triangle(spec), res.tangent_triangle) == 0, spec.q
         pts = oval.points[:4] if spec.q == 3 else oval.points[:5]
         oracle = segre._pencil_oracle if spec.q == 3 else fit_conic_nullspace
         assert _count_element_ops(oracle, pts) == 0, spec.q
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1)],
+                         ids=["q3", "q5", "q7", "q9", "q11", "q13"])
+def test_certify_chain_makes_no_nullspace_call(monkeypatch, p, k):
+    """Arc -> tangent_frame -> lemma_of_tangents -> reconstruct_conic, the
+    body of `segre verify` per oval, row-reduces nothing: every binding of
+    `linalg.nullspace` in the package is counted, and stays at zero over
+    seeded images of the standard oval and bases."""
+    spec = make_field(p, k)
+    rng = random.Random(p * k)
+    std = _oval(spec).points
+    ovals = []
+    for _ in range(4):
+        while True:
+            m = Mat(spec, 3, 3, tuple(spec.from_int(rng.randrange(spec.q)) for _ in range(9)))
+            if linalg.det3(m):
+                break
+        t = Collineation(m)
+        pts = [t.apply(v) for v in std]
+        rng.shuffle(pts)
+        ovals.append((pts, tuple(rng.sample(pts, 3))))
+    calls = []
+    real = linalg.nullspace
+    for module in [m for name, m in sys.modules.items() if name.startswith("galoisplane")]:
+        if getattr(module, "nullspace", None) is real:
+            monkeypatch.setattr(module, "nullspace", lambda m: calls.append(m) or real(m))
+    for pts, base in ovals:
+        arc = Arc(pts)
+        lemma_of_tangents(tangent_frame(arc, base))
+        conic, _ = reconstruct_conic(arc, base)
+        assert all(conic.evaluate(v).is_zero() for v in pts)
+    assert calls == [], spec.q
+    join(*std[:2])
+    assert len(calls) == 1  # the counter is live
 
 
 @pytest.mark.parametrize("p, k", [(7, 1), (3, 2), (11, 2)], ids=["q7", "q9", "q121"])
@@ -915,6 +1037,7 @@ def test_code_paths_make_no_element_arithmetic(p, k):
     the Desargues sampler, varieties and non-degeneracy reports (of the
     standard conic and of a line pair, whose gradient vanishes), the
     plane's tangents and lines-met count and `is_arc` over both varieties,
+    the perspective centres of sampled pairs and of their scrambles,
     gradients and tangents, a conic pushed through a collineation, a tangent
     frame on a fresh arc, a parsed conic with negative coefficients, the fit
     through seven oval points and the pencil oracle's sweep make no
@@ -928,6 +1051,9 @@ def test_code_paths_make_no_element_arithmetic(p, k):
     rng = random.Random(q)
     assert _count_element_ops(lambda: [sample_perspective_triangles(spec, rng)
                                        for _ in range(5)]) == 0
+    pairs = [sample_perspective_triangles(spec, rng) for _ in range(5)]
+    pairs += [(t1, (t2[1], t2[2], t2[0])) for t1, t2 in pairs]  # mostly not in perspective
+    assert _count_element_ops(lambda: [perspective_center(*pair) for pair in pairs]) == 0
     std = _oval(spec)  # x^2 - yz
     assert _count_element_ops(parse_conic, spec, "[1:0:0:0:0:-1]") == 0
     assert _count_element_ops(parse_conic, spec, f"[-1:-{q - 1}:0:-2:0:-1]") == 0
