@@ -8,14 +8,15 @@ coefficient tuple (a, b, c, d, e, f) for
 scaled once, at construction, so the first nonzero coefficient is 1
 (proportional tuples cut out the same variety); `coeffs` is a read-only view
 of the codes as field elements.  The monomial order (x^2, y^2, z^2, xy, xz,
-yz) is fixed and shared with the least-squares style fitting code.
+yz), `MONOMIALS`, is fixed; `_PAIRS` holds the index pair of each monomial.
 
 The form is the upper matrix U = [[a, d, e], [0, b, f], [0, 0, c]] on codes,
 f(v) = v . (U v) in every characteristic, and its gradient is (U + U^T) v,
-with U + U^T built on codes by `_gradient_matrix`.  `evaluate`, `gradient`,
-`line_conic_intersect` and `transform_conic` compute with these matrices
-through `linalg`'s code products, at every field order and with no element
-arithmetic; elements appear only in what they return.
+with U + U^T built on codes by `_gradient_matrix`.  `evaluate`, `gradient`
+and `line_conic_intersect` compute with these matrices, and `_pair_sum`
+builds the coefficients of a sum of line pairs (l . x)(m . x), for
+`transform_conic` and `segre`'s fit oracles, all on codes at every field
+order; elements appear only in what they return.
 
 The variety is found row by row of the plane enumeration, not point by point:
 on each row (1, y, *), on (0, 1, *) and at (0, 0, 1) the form is a
@@ -60,6 +61,7 @@ from .pg2 import (
 _ALL_ZERO = "all six conic coefficients are zero"
 
 MONOMIALS = ("x^2", "y^2", "z^2", "xy", "xz", "yz")
+_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))  # (i, j) of each x_i x_j above
 
 
 class Conic(_Codes):
@@ -101,7 +103,10 @@ def parse_conic(spec: FieldSpec, text: str) -> Conic:
     parts = s.split(":") if ":" in s else s.split(",")
     if len(parts) != 6:
         raise ValueError(f"expected six coefficients in {text!r}")
-    return Conic(tuple(spec.element(int(tok)) for tok in parts))
+    try:
+        return Conic(tuple(spec.element(int(tok)) for tok in parts))
+    except ValueError as exc:
+        raise ValueError(f"bad coefficient in {text!r}: {exc}") from None
 
 
 def evaluate(conic: Conic, p: ProjPoint) -> FieldElement:
@@ -295,23 +300,28 @@ def symmetric_matrix(conic: Conic) -> Mat:
 
 
 def transform_conic(t: Collineation, conic: Conic) -> Conic:
-    """Push a conic forward through a collineation: pull it back through t^-1.
+    """Push a conic forward through a collineation: `_pullback` through t^-1.
 
     Contract: p lies on the input conic iff t.apply(p) lies on the result.
     """
     return _pullback(t.inverse().matrix, conic)
 
 
+def _pair_sum(spec: FieldSpec, *pairs) -> tuple:
+    """The monomial codes of the sum over line pairs (l, m) of (l . x)(m . x):
+    l_i m_i at x_i^2, l_i m_j + l_j m_i at x_i x_j, each one kernel dot product."""
+    return tuple(_dot(spec, [x for l, _ in pairs for x in (l[i], l[j] if i < j else 0)],
+                      [y for _, m in pairs for y in (m[j], m[i])])
+                 for i, j in _PAIRS)
+
+
 def _pullback(s: Mat, conic: Conic) -> Conic:
-    """The conic f(S x) for an invertible S, folding S^T U S back to the 6
-    coefficients, so it works in every characteristic.  With W = U S, entry
-    B_ij of B = S^T U S is (column i of S) . (column j of W), so each folded
-    B_ij + B_ji is one code dot product of length 6.
-    """
+    """The conic f(S x) for an invertible S, in every characteristic: with s_i
+    the rows of S, f(S x) is the sum of u (s_i . x)(s_j . x) over the terms
+    u x_i x_j of f, one `_pair_sum` over the pairs (u s_i, s_j)."""
     spec = conic.spec
-    s_cols, w_cols = _rows(s.transpose()), _rows((upper_matrix(conic) @ s).transpose())
-    codes = tuple([_dot(spec, s_cols[i], w_cols[i]) for i in range(3)] + [
-        _dot(spec, s_cols[i] + s_cols[j], w_cols[j] + w_cols[i])
-        for i, j in ((0, 1), (0, 2), (1, 2))
-    ])
+    _same_field("matrices", spec, s.spec)
+    rows = _rows(s)
+    codes = _pair_sum(spec, *[(_scale(spec, rows[i], u), rows[j])
+                              for u, (i, j) in zip(conic.codes, _PAIRS) if u])
     return Conic._of(spec, _canonical_codes(spec, codes, _ALL_ZERO))

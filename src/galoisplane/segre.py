@@ -43,11 +43,11 @@ no element arithmetic and no row reduction.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .arcs import Arc, is_arc
-from .conic import Conic, _gradient_matrix, _pullback
+from .conic import Conic, _gradient_matrix, _pair_sum, _pullback
 from .errors import (
     Degenerate,
     DegenerateTriangle,
@@ -396,7 +396,8 @@ def normalize_tangents(frame: TangentFrame) -> TangentFrame:
 
     diag(1, -k3, k1*k3) sends slopes (k1, k2, k3) to (-1, -1, -1); a diagonal
     rescale by (d1, d2, d3) multiplies the pencil slopes by d2/d3, d3/d1,
-    d1/d2 respectively.
+    d1/d2 respectively.  It is a row rescale of the frame matrix, as in
+    `frame_transform`: row 0 is kept, rows 1 and 2 scale by -k3 and k1*k3.
     """
     spec = frame.spec
     k1, k2, k3 = (k.code for k in frame.slopes)
@@ -404,16 +405,10 @@ def normalize_tangents(frame: TangentFrame) -> TangentFrame:
     minus_k3, k1k3 = _scale(spec, (m1, k1), k3)
     if _scale(spec, (k1k3,), k2) != (m1,):
         raise RelationViolated("slope product is not -1; frame is inconsistent")
-    d = Mat._of(spec, 3, 3, (1, 0, 0, 0, minus_k3, 0, 0, 0, k1k3))
-    combined = Collineation._trusted(d @ frame.transform.matrix)
-    minus_one = spec.from_int(m1)
-    return TangentFrame(
-        oval=frame.oval,
-        base=frame.base,
-        transform=combined,
-        slopes=(minus_one, minus_one, minus_one),
-        tangents=frame.tangents,
-    )
+    r0, r1, r2 = _rows(frame.transform.matrix)
+    rows = r0 + _scale(spec, r1, minus_k3) + _scale(spec, r2, k1k3)
+    transform = Collineation._trusted(Mat._of(spec, 3, 3, rows))
+    return replace(frame, transform=transform, slopes=(spec.from_int(m1),) * 3)
 
 
 def frame_conic(spec: FieldSpec) -> Conic:
@@ -427,23 +422,15 @@ def _line_pairs(spec: FieldSpec, a, b, c, d) -> tuple:
     return (ab, cd), (ac, bd)
 
 
-def _pair_sum(spec: FieldSpec, *pairs) -> tuple:
-    """The monomial codes of the sum over line pairs (l, m) of (l . x)(m . x):
-    l_i m_i at x_i^2, l_i m_j + l_j m_i at x_i x_j, each one kernel dot product."""
-    return tuple(_dot(spec, [x for l, _ in pairs for x in (l[i], l[j] if i < j else 0)],
-                      [y for _, m in pairs for y in (m[j], m[i])])
-                 for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)))
-
-
 def fit_conic_nullspace(points) -> Conic:
     """The unique conic through at least 5 points in general position.
 
     No nullspace, despite the name: the conics through a, b, c, d are the
     pencil of the line pairs f = (ab)(cd) and g = (ac)(bd), and g(e) f - f(e) g
-    is its member through e.  With no three points collinear (checked first),
-    e is on none of the four lines, so f(e) and g(e) are nonzero, and f and g
-    share no line: the member is exact and nonzero.  Each further point must
-    lie on it.
+    is its member through e, expanded by `conic._pair_sum`.  With no three
+    points collinear (checked first), e is on none of the four lines, so f(e)
+    and g(e) are nonzero, and f and g share no line: the member is exact and
+    nonzero.  Each further point must lie on it.
     """
     pts = list(dict.fromkeys(points))
     if len(pts) < 5:

@@ -208,6 +208,18 @@ def test_sample_counts_below_one_are_rejected(k):
         assert err == f"error: {flag} must be positive, got {int(k)}\n"
 
 
+@pytest.mark.parametrize("conic, reason", [
+    ("[1:0:0:0:0:x]", "invalid literal for int() with base 10: 'x'"),
+    ("1,0,0,0,0,9", "element code 9 out of range for GF(7)"),
+])
+def test_bad_conic_coefficient_names_the_conic(conic, reason):
+    """A coefficient that is no element code is reported with the conic's
+    text, as a bad point coordinate is, and exits 2 with nothing printed."""
+    code, out, err = _run_text("conic", "variety", "--field", "q=7", "--conic", conic)
+    assert (code, out) == (2, "")
+    assert err == f"error: bad coefficient in {conic!r}: {reason}\n"
+
+
 def test_exit_code_bound_exceeded():
     proc = _run_proc("oval", "search", "--field", "q=9")
     assert proc.returncode == 3

@@ -7,8 +7,10 @@ import random
 import pytest
 
 from galoisplane.conic import (
+    _ALL_ZERO,
     Conic,
     _gradient_matrix,
+    _pullback,
     combinatorial_tangents,
     evaluate,
     gradient,
@@ -29,13 +31,14 @@ from galoisplane.errors import (
     ZeroVector,
 )
 from galoisplane.gf import make_field
-from galoisplane.linalg import Mat, det3, mat_vec
+from galoisplane.linalg import Mat, _dot, _rows, det3, mat_vec
 from galoisplane.errors import Singular
 from galoisplane.pg2 import (
     Collineation,
     Plane,
     ProjLine,
     ProjPoint,
+    _canonical_codes,
     _code_map,
     canonicalize,
     incident,
@@ -623,6 +626,64 @@ def test_transform_preserves_nondegeneracy():
     c = _conic(spec, 1, 0, 0, 0, 0, -1)
     t = Collineation.diagonal(tuple(spec.from_int(v) for v in (1, 2, 3)))
     assert is_nondegenerate(transform_conic(t, c)).verdict
+
+
+def _fold_pullback(s, conic):
+    """The conic f(S x) as the S^T U S fold, the reference for `_pullback`:
+    with W = U S, entry B_ij of S^T U S is (column i of S) . (column j of W),
+    and each folded B_ij + B_ji is one dot product of length 6."""
+    spec = conic.spec
+    s_cols, w_cols = _rows(s.transpose()), _rows((upper_matrix(conic) @ s).transpose())
+    codes = tuple([_dot(spec, s_cols[i], w_cols[i]) for i in range(3)] + [
+        _dot(spec, s_cols[i] + s_cols[j], w_cols[j] + w_cols[i])
+        for i, j in ((0, 1), (0, 2), (1, 2))
+    ])
+    return Conic._of(spec, _canonical_codes(spec, codes, _ALL_ZERO))
+
+
+def _outcome(f, *args):
+    """The codes f returns, or the type and message of what it raises."""
+    try:
+        return f(*args).codes
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_PULLBACK_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                    (11, 2), (2, 7), (131, 1), (3, 6)]
+
+
+@pytest.mark.parametrize("p, k", _PULLBACK_FIELDS,
+                         ids=[f"q{p ** k}" for p, k in _PULLBACK_FIELDS])
+def test_pullback_matches_the_fold(p, k):
+    """`_pullback` sums line pairs over the rows of S; it and `transform_conic`
+    give what the S^T U S fold gives, codes or exception type and message,
+    for conics of all 63 zero/nonzero coefficient patterns with seeded
+    nonzero values, each pulled back through a seeded invertible S and
+    through the singular S = e1 e1^T (f(S x) = a x^2, zero when a = 0), at
+    q up to 128, at q = 131 and, above the op-table cap, at q = 729; an S
+    over another field raises SpecMismatch from both."""
+    spec = make_field(p, k)
+    q = spec.q
+    rng = random.Random(q)
+    first = Mat._of(spec, 3, 3, (1, 0, 0, 0, 0, 0, 0, 0, 0))
+    for pattern in range(1, 64):
+        codes = [rng.randrange(1, q) if pattern >> i & 1 else 0 for i in range(6)]
+        conic = Conic(tuple(map(spec.from_int, codes)))
+        while True:
+            s = Mat._of(spec, 3, 3, tuple(rng.randrange(q) for _ in range(9)))
+            if not det3(s).is_zero():
+                break
+        for m in (s, first):
+            assert _outcome(_pullback, m, conic) == _outcome(_fold_pullback, m, conic)
+        t = Collineation(s)
+        assert _outcome(transform_conic, t, conic) == _outcome(
+            _fold_pullback, t.inverse().matrix, conic)
+    other = make_field(5 if q != 5 else 7)
+    mismatch = (SpecMismatch, "matrices from different field specs")
+    assert _outcome(_pullback, Mat.identity(other), conic) == mismatch
+    assert _outcome(_fold_pullback, Mat.identity(other), conic) == mismatch
+    assert _outcome(transform_conic, Collineation.identity(other), conic) == mismatch
 
 
 def test_gradient_scan_matches_gradient():

@@ -35,6 +35,7 @@ from galoisplane.errors import (
     NotInPerspective,
     NotMaximalOval,
     PointsNotOnOval,
+    RelationViolated,
     SharedSide,
     SpecMismatch,
     UnderDetermined,
@@ -461,6 +462,47 @@ def test_normalize_tangents_slopes_become_minus_one():
         assert norm.tangents == frame.tangents
         images = [norm.transform.apply(p) for p in base]
         assert images == list(_standard_triangle(spec))
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (7, 1), (3, 2), (13, 1), (11, 2)],
+                         ids=["q3", "q5", "q7", "q9", "q13", "q121"])
+def test_normalize_tangents_is_the_diagonal_product(p, k):
+    """normalize_tangents rescales rows 1 and 2 of the frame matrix; its
+    transform equals the reference product diag(1, -k3, k1*k3) @ t0, on
+    frames of seeded images of the standard oval with random bases."""
+    spec = make_field(p, k)
+    rng = random.Random(spec.q)
+    elems = spec.elements()
+    std = _oval(spec).points
+    for _ in range(8):
+        while True:
+            m = Mat(spec, 3, 3, tuple(rng.choice(elems) for _ in range(9)))
+            if not linalg.det3(m).is_zero():
+                break
+        pts = [Collineation(m).apply(v) for v in std]
+        frame = tangent_frame(Arc(pts), tuple(rng.sample(pts, 3)))
+        k1, k2, k3 = frame.slopes
+        d = Mat.diagonal((spec.one(), -k3, k1 * k3))
+        norm = normalize_tangents(frame)
+        assert norm.transform.matrix == d @ frame.transform.matrix
+        assert norm.slopes == (-spec.one(),) * 3
+
+
+def test_normalize_tangents_rejects_an_inconsistent_frame():
+    """A hand-built frame is checked: over every slope triple at q = 5, those
+    whose product is not -1 raise RelationViolated, and the others pass."""
+    spec = make_field(5)
+    oval = _oval(spec)
+    frame = tangent_frame(oval, oval.points[:3])
+    for slopes in itertools.product(spec.elements()[1:], repeat=3):
+        hand_built = dataclasses.replace(frame, slopes=slopes)
+        k1, k2, k3 = slopes
+        if k1 * k2 * k3 == -spec.one():
+            assert normalize_tangents(hand_built).slopes == (-spec.one(),) * 3
+            continue
+        with pytest.raises(RelationViolated) as info:
+            normalize_tangents(hand_built)
+        assert str(info.value) == "slope product is not -1; frame is inconsistent"
 
 
 def test_frame_conic_reference():
